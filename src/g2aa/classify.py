@@ -30,6 +30,7 @@ from .liealg import (
     AlmostAbelianAlgebra,
     NILPOTENT_CATALOG,
     NilpotentCatalogEntry,
+    NonNilpotentError,
     SegrePartition,
     differential,
     identify_nilpotent,
@@ -427,7 +428,7 @@ def nilpotent_parallel_report(p: NilpotentParallelParams) -> NilpotentReport:
 def _partition_of(algebra: AlmostAbelianAlgebra) -> SegrePartition | None:
     try:
         return segre_partition(algebra.ad_matrix)
-    except Exception:
+    except NonNilpotentError:
         return None
 
 

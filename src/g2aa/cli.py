@@ -48,6 +48,10 @@ EXIT_DOMAIN = 2
 EXIT_MISMATCH = 3
 
 
+class DomainError(ValueError):
+    """Input outside the paper's domain; reported with exit code 2."""
+
+
 def _load_form(source: str) -> KForm:
     if source in MODEL_TENSORS:
         return MODEL_TENSORS[source]()
@@ -63,7 +67,10 @@ def _load_algebra(source: str) -> AlmostAbelianAlgebra:
     path = Path(source)
     if not path.exists():
         raise FileNotFoundError(f"no such algebra file: {source}")
-    return AlmostAbelianAlgebra.from_json(path.read_text())
+    algebra = AlmostAbelianAlgebra.from_json(path.read_text())
+    if algebra.n != 7:
+        raise DomainError(f"algebra has dimension {algebra.n}, not 7")
+    return algebra
 
 
 def _signature_text(s) -> str:
@@ -124,6 +131,9 @@ def cmd_report(args) -> int:
     try:
         algebra = _load_algebra(args.input)
         phi = _load_form(args.form)
+    except DomainError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
@@ -171,6 +181,9 @@ def cmd_report(args) -> int:
 def cmd_decide(args) -> int:
     try:
         algebra = _load_algebra(args.input)
+    except DomainError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
@@ -365,7 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument("--input", required=True, help="algebra JSON file")
     p_rep.add_argument("--form", required=True, help="form JSON file or model name")
     p_rep.add_argument("--format", choices=("text", "json"), default="text")
-    p_rep.add_argument("--tol", type=float, default=1e-9)
     p_rep.set_defaults(func=cmd_report)
 
     p_dec = sub.add_parser("decide", help="calibrated/parallel existence decisions")

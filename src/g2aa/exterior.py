@@ -1,15 +1,18 @@
 """Exterior algebra over Q(sqrt2): alternating forms, wedge, interior
-product, gl-action and the Hodge star of an exact metric.
+product, gl-action, pullback and the Hodge star of an exact metric.
 
 Forms are sparse: a map from strictly increasing 1-based index tuples to
 nonzero scalars.  Index conventions follow the usual e^{127}-style
 notation, so ``KForm.basis(7, 1, 2, 7)`` is e^127 on R^7.
+
+``pullback`` is the one kernel for changes of basis: the Hodge star is the
+pullback along g^{-1} followed by complementing indices, and the form a
+subspace inherits is the pullback along the matrix of its basis vectors.
 """
 
 from __future__ import annotations
 
 import json
-from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
 from .linalg import Matrix
@@ -238,13 +241,6 @@ def wedge(a: KForm, b: KForm) -> KForm:
     return KForm(a.dim, a.degree + b.degree, acc)
 
 
-def wedge_all(*forms: KForm) -> KForm:
-    out = forms[0]
-    for f in forms[1:]:
-        out = wedge(out, f)
-    return out
-
-
 def interior(vector: Sequence, a: KForm) -> KForm:
     """Interior product v -| a, inserting v into the first slot."""
     if a.degree == 0:
@@ -303,57 +299,39 @@ def gl_action(endo: Matrix | Endo, a: KForm) -> KForm:
 def pullback(m: Matrix, a: KForm) -> KForm:
     """Pullback of ``a`` along the linear map with matrix ``m``:
     (m^* a)(v_1, ..., v_k) = a(m v_1, ..., m v_k).
+
+    ``m`` may be rectangular: it needs ``a.dim`` rows, and the result lives
+    on ``m.cols`` dimensions.
     """
-    if m.rows != a.dim or m.cols != a.dim:
-        raise DimensionMismatchError("matrix size must match form dimension")
-    n = a.dim
-    rows = [m.row(i) for i in range(n)]
+    if m.rows != a.dim:
+        raise DimensionMismatchError("matrix rows must match form dimension")
+    # nonzero entries (j, m[i-1][j-1]) of m^* e^i = sum_j m[i-1][j-1] e^j
+    support = [[(j, x) for j, x in enumerate(m.row(i), 1) if not x.is_zero()]
+               for i in range(m.rows)]
     acc: dict[tuple[int, ...], Scalar] = {}
     for idx, c in a._t.items():
-        # expand the product of pulled-back 1-forms m^* e^i = sum_j m[i-1][j] e^{j+1}
+        # expand the product of pulled-back 1-forms, dropping index tuples
+        # that repeat (they wedge to zero)
         partial: list[tuple[tuple[int, ...], Scalar]] = [((), c)]
         for i in idx:
-            row = rows[i - 1]
-            nxt: list[tuple[tuple[int, ...], Scalar]] = []
-            for tup, coef in partial:
-                for j in range(n):
-                    mij = row[j]
-                    if mij.is_zero():
-                        continue
-                    nxt.append((tup + (j + 1,), coef * mij))
-            partial = nxt
+            partial = [(tup + (j,), coef * x) for tup, coef in partial
+                       for j, x in support[i - 1] if j not in tup]
         for tup, coef in partial:
             stup, sg = sort_indices(tup)
-            if sg == 0:
-                continue
             cur = acc.get(stup, ZERO) + (coef if sg > 0 else -coef)
             if cur.is_zero():
                 acc.pop(stup, None)
             else:
                 acc[stup] = cur
-    return KForm(a.dim, a.degree, acc)
-
-
-def form_inner(a: KForm, b: KForm, metric_inverse: Matrix) -> Scalar:
-    """Metric pairing <a, b>_g on k-forms, via Gram minors of g^{-1}."""
-    if a.degree != b.degree:
-        raise DimensionMismatchError("degree mismatch in form inner product")
-    if a.degree == 0:
-        av = a._t.get((), ZERO)
-        bv = b._t.get((), ZERO)
-        return av * bv
-    acc = ZERO
-    for i_idx, c in a._t.items():
-        for j_idx, d in b._t.items():
-            sub = Matrix([[metric_inverse[i - 1, j - 1] for j in j_idx] for i in i_idx])
-            v = sub.det()
-            if not v.is_zero():
-                acc = acc + c * d * v
-    return acc
+    return KForm(m.cols, a.degree, acc)
 
 
 def hodge_star(a: KForm, metric: Matrix, orientation_vol: KForm) -> KForm:
-    """Hodge dual pinned by alpha ^ star(beta) = <alpha, beta>_g * orientation_vol."""
+    """Hodge dual pinned by alpha ^ star(beta) = <alpha, beta>_g * orientation_vol.
+
+    The pairing <e^I, beta>_g is the e^I coefficient of the pullback of beta
+    along g^{-1}, so star(beta) = v0 * sum_I (g^{-1*} beta)_I sign(I, I^c) e^{I^c}.
+    """
     n = a.dim
     if metric.rows != n or metric.cols != n:
         raise DimensionMismatchError("metric size must match form dimension")
@@ -364,21 +342,10 @@ def hodge_star(a: KForm, metric: Matrix, orientation_vol: KForm) -> KForm:
     except ZeroDivisionError as exc:
         raise DegenerateMetricError("metric is degenerate") from exc
     v0 = orientation_vol.coefficient(*range(1, n + 1))
-    full = tuple(range(1, n + 1))
+    full = range(1, n + 1)
     acc: dict[tuple[int, ...], Scalar] = {}
-    k = a.degree
-    for idx in combinations(full, k) if k > 0 else [()]:
-        val = form_inner(KForm(n, k, {tuple(idx): ONE}), a, ginv)
-        if val.is_zero():
-            continue
+    for idx, val in pullback(ginv, a).items():
         comp = tuple(x for x in full if x not in idx)
         _, sg = sort_indices(idx + comp)
-        term = v0 * val
-        if sg < 0:
-            term = -term
-        cur = acc.get(comp, ZERO) + term
-        if cur.is_zero():
-            acc.pop(comp, None)
-        else:
-            acc[comp] = cur
-    return KForm(n, n - k, acc)
+        acc[comp] = v0 * val if sg > 0 else -(v0 * val)
+    return KForm(n, n - a.degree, acc)

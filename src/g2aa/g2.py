@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .exterior import KForm, gl_action, hodge_star, interior, pullback, wedge
-from .linalg import Matrix, gram
+from .linalg import Matrix
 from .scalars import HALF, HALF_SQRT2, ONE, ZERO, Scalar
 
 
@@ -205,13 +205,16 @@ def _integer_ninth_root(m: int) -> int | None:
     if m < 0:
         r = _integer_ninth_root(-m)
         return None if r is None else -r
-    if m == 0:
-        return 0
-    x = max(1, round(m ** (1 / 9.0)))
-    for cand in (x - 1, x, x + 1):
-        if cand >= 0 and cand**9 == m:
-            return cand
-    return None
+    if m < 2:
+        return m
+    # integer Newton from above: x starts at 2^ceil(bits/9) >= m^(1/9) and
+    # decreases to floor(m^(1/9))
+    x = 1 << -(-m.bit_length() // 9)
+    while True:
+        y = (8 * x + m // x**8) // 9
+        if y >= x:
+            return x if x**9 == m else None
+        x = y
 
 
 def _rational_ninth_root(f: Fraction) -> Fraction | None:
@@ -281,10 +284,14 @@ def _certify_cached(phi: KForm, tol: float) -> G2EpsStructure:
         vol = KForm(7, 7, {tuple(range(1, 8)): c})
         return G2EpsStructure(phi, eps, metric, vol, _detect_frame_kind(metric, eps))
     # float fallback: exact signature from B and the sign of det B
-    c_f = _float_ninth_root(float(det_b))
-    bf = b.to_float()
+    try:
+        det_f = float(det_b)
+        bf = b.to_float()
+    except OverflowError as exc:
+        raise NotG2Error("coefficients too large for the float fallback") from exc
+    c_f = _float_ninth_root(det_f)
     metric_f = tuple(tuple(x / c_f for x in row) for row in bf)
-    rel = abs(c_f**9 - float(det_b)) / max(abs(float(det_b)), 1e-300)
+    rel = abs(c_f**9 - det_f) / max(abs(det_f), 1e-300)
     if rel > tol:
         raise NotG2Error("float fallback failed the defining-relation tolerance")
     sig_b = b.signature()
@@ -417,48 +424,6 @@ def cubic_invariant(rho: KForm) -> Scalar:
     return Scalar(Fraction(1, 6)) * (k @ k).trace()
 
 
-def restrict_to_subspace(a: KForm, basis_vectors: list[list[Scalar]]) -> KForm:
-    """The form induced on span(basis_vectors), in that ordered basis."""
-    from itertools import combinations
-
-    k = a.degree
-    n = len(basis_vectors)
-    terms = {}
-    for idx in combinations(range(1, n + 1), k):
-        vecs = [basis_vectors[i - 1] for i in idx]
-        val = _evaluate(a, vecs)
-        if not val.is_zero():
-            terms[idx] = val
-    return KForm(n, k, terms)
-
-
-def _evaluate(a: KForm, vectors: list[list[Scalar]]) -> Scalar:
-    """Evaluate a k-form on k vectors (full antisymmetric expansion)."""
-    from itertools import permutations
-
-    k = a.degree
-    acc = ZERO
-    for idx, c in a.items():
-        for perm in permutations(range(k)):
-            sign = 1
-            seen = list(perm)
-            for i in range(k):
-                for j in range(i + 1, k):
-                    if seen[i] > seen[j]:
-                        sign = -sign
-            prod = c if sign > 0 else -c
-            ok = True
-            for slot, which in enumerate(perm):
-                comp = vectors[which][idx[slot] - 1]
-                if comp.is_zero():
-                    ok = False
-                    break
-                prod = prod * comp
-            if ok:
-                acc = acc + prod
-    return acc
-
-
 def hyperplane_model_type(s: G2EpsStructure, covector: KForm) -> HyperplaneType:
     """Classify (phi|_W, star(phi)|_W) for the hyperplane W = ker(covector)."""
     if covector.dim != 7 or covector.degree != 1:
@@ -468,10 +433,10 @@ def hyperplane_model_type(s: G2EpsStructure, covector: KForm) -> HyperplaneType:
     if not s.is_exact:
         raise ValueError("hyperplane classification requires an exact metric")
     row = [[covector.coefficient(i) for i in range(1, 8)]]
-    w_basis = Matrix(row).kernel()
-    g_w = gram(s.metric, w_basis)
-    sig = g_w.signature()
-    rho_w = restrict_to_subspace(s.phi, w_basis)
+    # the columns of w are a basis of W: g|_W = w^T g w and phi|_W = w^* phi
+    w = Matrix.from_columns(Matrix(row).kernel())
+    sig = (w.transpose() @ s.metric @ w).signature()
+    rho_w = pullback(w, s.phi)
     lam = cubic_invariant(rho_w)
     if sig[2] > 0:
         result = HyperplaneType.RHO_NULL

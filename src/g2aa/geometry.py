@@ -30,10 +30,6 @@ class ConnectionTable:
     metric: Matrix
     nabla: tuple[Matrix, ...]
 
-    def gamma(self, i: int, j: int) -> list[Scalar]:
-        """nabla_{f_i} f_j as a coefficient vector (0-based arguments)."""
-        return list(self.nabla[i].column(j))
-
 
 @dataclass
 class CurvatureReport:

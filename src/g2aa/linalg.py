@@ -1,10 +1,10 @@
 """Dense exact linear algebra over Q(sqrt2).
 
-Matrices are immutable, row-major, with ``Scalar`` entries.  Rank, kernel
-and determinant run through a fraction-free (Bareiss) elimination over
-Z[sqrt2] after clearing denominators row by row, which keeps intermediate
-entries small on the 35x49 and 35x36 stabilizer systems.  Signatures of
-symmetric matrices use exact congruence diagonalization.
+Matrices are immutable, row-major, with ``Scalar`` entries.  Rank, kernel,
+determinant and inverse run through a fraction-free (Bareiss) elimination
+over Z[sqrt2] after clearing denominators row by row, which keeps
+intermediate entries small on the 35x49 and 35x36 stabilizer systems.
+Signatures of symmetric matrices use exact congruence diagonalization.
 """
 
 from __future__ import annotations
@@ -206,22 +206,16 @@ class Matrix:
         return basis
 
     def inverse(self) -> "Matrix":
+        """A^{-1}, read off the kernel of [A | I], which is spanned by the
+        columns of [-A^{-1} ; I] exactly when A is invertible."""
         if self.rows != self.cols:
             raise ValueError("inverse of a non-square matrix")
         n = self.rows
-        aug = [list(self._e[i]) + [ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-        for c in range(n):
-            p = next((i for i in range(c, n) if not aug[i][c].is_zero()), None)
-            if p is None:
-                raise ZeroDivisionError("matrix is singular")
-            aug[c], aug[p] = aug[p], aug[c]
-            inv = aug[c][c].inverse()
-            aug[c] = [inv * x for x in aug[c]]
-            for i in range(n):
-                if i != c and not aug[i][c].is_zero():
-                    f = aug[i][c]
-                    aug[i] = [aug[i][j] - f * aug[c][j] for j in range(2 * n)]
-        return Matrix([row[n:] for row in aug])
+        eye = Matrix.identity(n)._e
+        basis = Matrix([r + e for r, e in zip(self._e, eye)]).kernel()
+        if any(tuple(x[n:]) != e for x, e in zip(basis, eye)):
+            raise ZeroDivisionError("matrix is singular")
+        return Matrix.from_columns([[-y for y in x[:n]] for x in basis])
 
     def solve(self, rhs: Sequence) -> list[Scalar]:
         return self.inverse().apply(rhs)
@@ -249,23 +243,6 @@ def rank(m: Matrix) -> int:
 
 def signature(sym: Matrix) -> tuple[int, int, int]:
     return sym.signature()
-
-
-def gram(metric: Matrix, basis_vectors: Sequence[Sequence]) -> Matrix:
-    """Gram matrix of ``metric`` restricted to the given column vectors."""
-    cols = [list(v) for v in basis_vectors]
-    k = len(cols)
-    out = [[ZERO] * k for _ in range(k)]
-    for i in range(k):
-        mi = metric.apply(cols[i])
-        for j in range(i, k):
-            acc = ZERO
-            for a, b in zip(mi, cols[j]):
-                b = as_scalar(b)
-                if not a.is_zero() and not b.is_zero():
-                    acc = acc + a * b
-            out[i][j] = out[j][i] = acc
-    return Matrix(out)
 
 
 # -- fraction-free core over Z[sqrt2] ----------------------------------------

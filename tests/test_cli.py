@@ -41,6 +41,20 @@ def test_certify_rejects_decomposable(tmp_path, capsys):
     assert "NotG2" in capsys.readouterr().out
 
 
+def test_rejects_inputs_outside_the_domain(tmp_path, capsys):
+    from g2aa.liealg import AlmostAbelianAlgebra
+    from g2aa.linalg import Matrix
+
+    apath = write_algebra(tmp_path, AlmostAbelianAlgebra(8, Matrix.zero(7)))
+    fpath = write_form(tmp_path, witt_phi())
+    assert main(["decide", "--input", apath, "--mode", "g2"]) == EXIT_DOMAIN
+    assert main(["report", "--input", apath, "--form", fpath]) == EXIT_DOMAIN
+    assert "dimension 8" in capsys.readouterr().err
+    huge = write_form(tmp_path, phi_model(-1).scale(10**40), "huge.json")
+    assert main(["certify", "--form", huge]) == EXIT_DOMAIN
+    assert "too large" in capsys.readouterr().out
+
+
 def test_report_example_a(tmp_path, capsys):
     apath = write_algebra(tmp_path, _example_a_algebra())
     fpath = write_form(tmp_path, witt_phi())

@@ -169,6 +169,15 @@ def test_pullback_functorial():
         f = random_form(rng, n, rng.randint(1, 3))
         assert pullback(q, pullback(p, f)) == pullback(p @ q, f)
         assert pullback(Matrix.identity(n), f) == f
+    # rectangular maps R^4 -> R^6 -> R^7; the result lives on the column space
+    for _ in range(10):
+        p = random_matrix(rng, 7, 6)
+        q = random_matrix(rng, 6, 4)
+        f = random_form(rng, 7, rng.randint(0, 4), terms=5)
+        pulled = pullback(q, pullback(p, f))
+        assert pulled.dim == 4 and pulled == pullback(p @ q, f)
+    with pytest.raises(DimensionMismatchError):
+        pullback(Matrix.identity(6), phi_model(-1))
 
 
 def test_json_round_trip():

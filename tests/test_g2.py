@@ -165,6 +165,15 @@ def test_certify_float_fallback_on_scaled_form():
         s.star_phi()
 
 
+def test_certify_huge_coefficients():
+    # 10^60 phi has the exact metric 10^40 g; 10^40 phi needs the float
+    # fallback, whose coefficients no float can hold
+    s = certify_g2(phi_model(-1).scale(10**60))
+    assert s.is_exact and s.metric == Matrix.identity(7).scale(10**40)
+    with pytest.raises(NotG2Error, match="too large"):
+        certify_g2(phi_model(-1).scale(10**40))
+
+
 def test_bilinear_form_matches_metric_times_volume():
     for eps in (-1, 1):
         s = certify_g2(phi_model(eps))
@@ -183,6 +192,10 @@ def test_ninth_root():
     assert ninth_root(x**9) == x
     y = Scalar(Fraction(3, 2), Fraction(-1, 4))
     assert ninth_root(y**9) == y
+    # beyond float range: the integer root must be exact
+    big = 10**20 + 1
+    assert ninth_root(Scalar(Fraction(-(big**9), 2**9))) == Scalar(Fraction(-big, 2))
+    assert ninth_root(Scalar(big**9 + 1)) is None
 
 
 # -- Witt frame --------------------------------------------------------------------

@@ -18,7 +18,7 @@ from g2aa.geometry import (
     nabla_r_full,
 )
 from g2aa.liealg import AlmostAbelianAlgebra, differential
-from g2aa.linalg import Matrix, gram
+from g2aa.linalg import Matrix
 from g2aa.scalars import ONE, ZERO, Scalar
 
 from conftest import random_matrix, random_unimodular
