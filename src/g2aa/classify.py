@@ -117,15 +117,12 @@ def rotation_block(a, b) -> Matrix:
 
 
 def blockdiag(*blocks: Matrix) -> Matrix:
-    n = sum(b.rows for b in blocks)
-    rows = [[ZERO] * n for _ in range(n)]
+    entries: dict = {}
     off = 0
     for b in blocks:
-        for i in range(b.rows):
-            for j in range(b.cols):
-                rows[off + i][off + j] = b[i, j]
+        entries.update({(off + i, off + j): x for (i, j), x in b.items()})
         off += b.rows
-    return Matrix(rows)
+    return Matrix.sparse(off, off, entries)
 
 
 def structure_matrix(a2: Matrix, b2: Matrix, v, w) -> Matrix:
@@ -182,24 +179,16 @@ def is_parallel_witt(m: Matrix):
 def iota(z_re: Matrix, z_im: Matrix) -> Matrix:
     """The real 6x6 image of a complex 3x3 matrix under the interleaved
     identification (x1, y1, x2, y2, x3, y3) of C^3 with R^6."""
-    rows = [[ZERO] * 6 for _ in range(6)]
-    for i in range(3):
-        for j in range(3):
-            x = z_re[i, j]
-            y = z_im[i, j]
-            rows[2 * i][2 * j] = x
-            rows[2 * i][2 * j + 1] = -y
-            rows[2 * i + 1][2 * j] = y
-            rows[2 * i + 1][2 * j + 1] = x
-    return Matrix(rows)
+    entries = {}
+    for (i, j), x in z_re.items():
+        entries[(2 * i, 2 * j)] = entries[(2 * i + 1, 2 * j + 1)] = x
+    for (i, j), y in z_im.items():
+        entries[(2 * i, 2 * j + 1)], entries[(2 * i + 1, 2 * j)] = -y, y
+    return Matrix.sparse(6, 6, entries)
 
 
 def _extend_by_identity(p: Matrix) -> Matrix:
-    rows = [
-        [p[i, j] if i < 6 and j < 6 else (ONE if i == j else ZERO) for j in range(7)]
-        for i in range(7)
-    ]
-    return Matrix(rows)
+    return Matrix.sparse(7, 7, {**dict(p.items()), (6, 6): ONE})
 
 
 # Pairing basis for the split three-form rho_plus: in the null coordinates
@@ -260,9 +249,7 @@ def shape_24(case: int, reals: tuple) -> Matrix:
         m[0][2] = m[1][3] = ONE
         return Matrix(m)
     if case == 4:
-        rows = [[ZERO] * 6 for _ in range(6)]
-        rows[0][2] = rows[1][3] = rows[2][4] = rows[3][5] = ONE
-        return Matrix(rows)
+        return Matrix.sparse(6, 6, dict.fromkeys([(0, 2), (1, 3), (2, 4), (3, 5)], ONE))
     raise ValueError("case must be 1..4")
 
 
@@ -349,13 +336,10 @@ def nilpotent_witnesses(partition: SegrePartition):
 
 
 def witness_block_matrix(a3: Matrix, b3: Matrix) -> Matrix:
-    rows = [[ZERO] * 6 for _ in range(6)]
-    for i in range(3):
-        for j in range(3):
-            rows[i][j] = a3[i, j]
-            rows[3 + i][j] = b3[i, j]
-            rows[3 + i][3 + j] = a3[i, j]
-    return Matrix(rows)
+    entries = {(3 + i, j): x for (i, j), x in b3.items()}
+    for (i, j), x in a3.items():
+        entries[(i, j)] = entries[(3 + i, 3 + j)] = x
+    return Matrix.sparse(6, 6, entries)
 
 
 # -- closed-form nilpotent report ------------------------------------------------

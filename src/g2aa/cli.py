@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from pathlib import Path
 
 from .exterior import KForm
@@ -40,7 +41,7 @@ from .classify import (
     sweep_parameter_grid,
     table1_diff,
 )
-from .scalars import Scalar
+from .scalars import Scalar, as_scalar
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -67,10 +68,22 @@ def _load_algebra(source: str) -> AlmostAbelianAlgebra:
     path = Path(source)
     if not path.exists():
         raise FileNotFoundError(f"no such algebra file: {source}")
-    algebra = AlmostAbelianAlgebra.from_json(path.read_text())
-    if algebra.n != 7:
-        raise DomainError(f"algebra has dimension {algebra.n}, not 7")
-    return algebra
+    data = json.loads(path.read_text())
+    n, ad = int(data["n"]), data["ad"]
+    if n != 7:
+        raise DomainError(f"algebra has dimension {n}, not 7")
+    if not isinstance(ad, list) or len(ad) != 6 or any(
+            not isinstance(row, list) or len(row) != 6 for row in ad):
+        raise DomainError("ad-matrix must be 6x6 for an algebra of dimension 7")
+    return AlmostAbelianAlgebra(7, Matrix([[_parse_scalar(x) for x in row] for row in ad]))
+
+
+def _parse_scalar(x) -> Scalar:
+    """A scalar given as text ("p/q+r/s*sqrt2") or an integer."""
+    try:
+        return as_scalar(x)
+    except (ValueError, ZeroDivisionError, TypeError) as exc:
+        raise DomainError(f"malformed scalar {x!r}") from exc
 
 
 def _signature_text(s) -> str:
@@ -181,6 +194,7 @@ def cmd_report(args) -> int:
 def cmd_decide(args) -> int:
     try:
         algebra = _load_algebra(args.input)
+        eigen = [_parse_scalar(x) for x in args.eigen.split(",")] if args.eigen else None
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
@@ -189,9 +203,6 @@ def cmd_decide(args) -> int:
         return EXIT_INTERNAL
     from .classify import calibrated_decision, parallel_nondeg_decision
 
-    eigen = None
-    if args.eigen:
-        eigen = [Scalar.from_string(x) for x in args.eigen.split(",")]
     if args.kind == "calibrated":
         got = calibrated_decision(algebra, args.mode, eigen_data=eigen)
     else:
@@ -207,13 +218,28 @@ def cmd_decide(args) -> int:
     return EXIT_DOMAIN if got is Decision.UNDECIDABLE else EXIT_OK
 
 
-def _check(name: str, ok: bool, failures: list[str]):
-    print(f"{'PASS' if ok else 'FAIL'} {name}")
-    if not ok:
-        failures.append(name)
+class _Checks:
+    """Prints one line per reproduction check: ``PASS name`` / ``FAIL name``,
+    or with ``json`` a record {"name", "ok", "seconds"}, where seconds run
+    from the end of the previous check."""
+
+    def __init__(self, fmt: str):
+        self.as_json = fmt == "json"
+        self.failures: list[str] = []
+        self._since = time.perf_counter()
+
+    def __call__(self, name: str, ok: bool):
+        now = time.perf_counter()
+        if self.as_json:
+            print(json.dumps({"name": name, "ok": ok, "seconds": round(now - self._since, 6)}))
+        else:
+            print(f"{'PASS' if ok else 'FAIL'} {name}")
+        self._since = now
+        if not ok:
+            self.failures.append(name)
 
 
-def _reproduce_stabilizers(failures: list[str]):
+def _reproduce_stabilizers(check: _Checks):
     from .g2 import (
         half_omega_squared,
         joint_stabilizer_algebra,
@@ -231,7 +257,7 @@ def _reproduce_stabilizers(failures: list[str]):
     ]
     for name, form, expect in singles:
         got = len(stabilizer_algebra(form))
-        _check(f"stabilizer dim {name} = {expect}", got == expect, failures)
+        check(f"stabilizer dim {name} = {expect}", got == expect)
     joints = [
         ("(rho_minus, om_minus^2/2)", rho_model(-1), half_omega_squared(-1), 8),
         ("(rho_minus, om_plus^2/2)", rho_model(-1), half_omega_squared(1), 8),
@@ -239,84 +265,76 @@ def _reproduce_stabilizers(failures: list[str]):
     ]
     for name, a, b, expect in joints:
         got = len(joint_stabilizer_algebra(a, b))
-        _check(f"joint stabilizer dim {name} = {expect}", got == expect, failures)
+        check(f"joint stabilizer dim {name} = {expect}", got == expect)
     for eps in (-1, 1):
         got = len(stabilizer_algebra(phi_model(eps)))
-        _check(f"stabilizer dim phi_eps(eps={eps:+d}) = 14", got == 14, failures)
+        check(f"stabilizer dim phi_eps(eps={eps:+d}) = 14", got == 14)
 
 
-def _reproduce_witt(failures: list[str]):
+def _reproduce_witt(check: _Checks):
     from .exterior import hodge_star
 
     frame = witt_frame_from_adapted()
     phi1 = phi_model(1)
     star1 = hodge_star(phi1, adapted_metric(1), KForm.basis(7, 1, 2, 3, 4, 5, 6, 7))
-    _check("witt image of phi", frame.to_witt(phi1) == witt_phi(), failures)
-    _check("witt image of star phi", frame.to_witt(star1) == witt_star_phi(), failures)
+    check("witt image of phi", frame.to_witt(phi1) == witt_phi())
+    check("witt image of star phi", frame.to_witt(star1) == witt_star_phi())
     from .g2 import WITT_GRAM
 
-    _check(
-        "witt Gram matrix",
-        frame.gram_in_witt(adapted_metric(1)) == WITT_GRAM,
-        failures,
-    )
+    check("witt Gram matrix", frame.gram_in_witt(adapted_metric(1)) == WITT_GRAM)
     s = certify_g2(witt_phi())
-    _check("witt certification: split with (3,4)", s.eps == 1 and s.frame_kind == "witt",
-           failures)
-    _check("witt star from certified metric", s.star_phi() == witt_star_phi(), failures)
+    check("witt certification: split with (3,4)", s.eps == 1 and s.frame_kind == "witt")
+    check("witt star from certified metric", s.star_phi() == witt_star_phi())
 
 
 def _example_a_algebra() -> AlmostAbelianAlgebra:
-    rows = [[0] * 6 for _ in range(6)]
-    rows[0][2] = -1  # ad(f7) f3 = -f1
-    rows[2][3] = -1
-    rows[1][4] = -1
-    rows[4][5] = -1
-    return AlmostAbelianAlgebra(7, Matrix(rows))
+    # entry (i, j) = -1: ad(f7) f_{j+1} = -f_{i+1}
+    return AlmostAbelianAlgebra(
+        7, Matrix.sparse(6, 6, dict.fromkeys([(0, 2), (2, 3), (1, 4), (4, 5)], -1)))
 
 
 def _example_b_algebra() -> AlmostAbelianAlgebra:
     return AlmostAbelianAlgebra(7, Matrix.diagonal([2, -1, 2, 2, -1, -1]))
 
 
-def _reproduce_example_a(failures: list[str]):
+def _reproduce_example_a(check: _Checks):
     algebra = _example_a_algebra()
     phi = witt_phi()
     s = certify_g2(phi)
     star = s.star_phi()
-    _check("example A: d phi = 0", differential(algebra, phi).is_zero(), failures)
+    check("example A: d phi = 0", differential(algebra, phi).is_zero())
     d_star = differential(algebra, star)
     expected = KForm.build(7, 5, [(-1, 2, 3, 5, 6, 7)])
-    _check("example A: d star phi = -f^23567", d_star == expected, failures)
+    check("example A: d star phi = -f^23567", d_star == expected)
     report = analyze(algebra, phi, s.metric)
-    _check("example A: Ricci flat", report.is_ricci_flat, failures)
-    _check("example A: holonomy dim 3", report.hol_dim == 3, failures)
-    _check("example A: not parallel (structure not annihilated)",
-           report.hol_annihilates_phi is False, failures)
+    check("example A: Ricci flat", report.is_ricci_flat)
+    check("example A: holonomy dim 3", report.hol_dim == 3)
+    check("example A: not parallel (structure not annihilated)",
+           report.hol_annihilates_phi is False)
 
 
-def _reproduce_example_b(failures: list[str]):
+def _reproduce_example_b(check: _Checks):
     algebra = _example_b_algebra()
     phi = witt_phi()
     s = certify_g2(phi)
     star = s.star_phi()
-    _check("example B: d phi = 0", differential(algebra, phi).is_zero(), failures)
+    check("example B: d phi = 0", differential(algebra, phi).is_zero())
     d_star = differential(algebra, star)
     expected = KForm.build(7, 5, [(1, 1, 2, 5, 6, 7), (-2, 3, 4, 5, 6, 7)])
-    _check("example B: d star phi = f^12567 - 2 f^34567", d_star == expected, failures)
+    check("example B: d star phi = f^12567 - 2 f^34567", d_star == expected)
     report = analyze(algebra, phi, s.metric)
-    _check("example B: Ricci flat", report.is_ricci_flat, failures)
-    _check("example B: holonomy dim 5", report.hol_dim == 5, failures)
+    check("example B: Ricci flat", report.is_ricci_flat)
+    check("example B: holonomy dim 5", report.hol_dim == 5)
 
 
-def _reproduce_table1(failures: list[str]):
+def _reproduce_table1(check: _Checks):
     diff = table1_diff(bound=1)
     for line in diff:
-        print(f"  {line}")
-    _check("table1: regenerated rows match (11 rows)", not diff, failures)
+        print(f"  {line}", file=sys.stderr)
+    check("table1: regenerated rows match (11 rows)", not diff)
 
 
-def _reproduce_sweep(failures: list[str], bound: int, limit: int):
+def _reproduce_sweep(check: _Checks, bound: int, limit: int):
     count = 0
     bad = 0
     for p in sweep_parameter_grid(bound):
@@ -329,31 +347,33 @@ def _reproduce_sweep(failures: list[str], bound: int, limit: int):
             direct.algebra_name, direct.hol_dim, direct.locally_symmetric, direct.flat
         ):
             bad += 1
-    _check(f"sweep: closed-form report matches pipeline on {count} points",
-           bad == 0, failures)
+    check(f"sweep: closed-form report matches pipeline on {count} points",
+           bad == 0)
 
 
 def cmd_reproduce(args) -> int:
-    failures: list[str] = []
+    check = _Checks(args.format)
     which = args.which
     try:
         if which in ("stabilizers", "all"):
-            _reproduce_stabilizers(failures)
+            _reproduce_stabilizers(check)
         if which in ("witt", "all"):
-            _reproduce_witt(failures)
+            _reproduce_witt(check)
         if which in ("example_a", "all"):
-            _reproduce_example_a(failures)
+            _reproduce_example_a(check)
         if which in ("example_b", "all"):
-            _reproduce_example_b(failures)
+            _reproduce_example_b(check)
         if which in ("table1", "all"):
-            _reproduce_table1(failures)
+            _reproduce_table1(check)
         if which in ("sweep", "all"):
-            _reproduce_sweep(failures, args.sweep_bound, args.sweep_limit)
+            _reproduce_sweep(check, args.sweep_bound, args.sweep_limit)
+    except BrokenPipeError:
+        raise  # a closed stdout is not an internal error; main handles it
     except Exception as exc:  # pragma: no cover - defensive
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    if failures:
-        print(f"first failing check: {failures[0]}", file=sys.stderr)
+    if check.failures:
+        print(f"first failing check: {check.failures[0]}", file=sys.stderr)
         return EXIT_MISMATCH
     return EXIT_OK
 

@@ -97,11 +97,7 @@ class KForm:
             if sg == 0:
                 continue
             c = as_scalar(coef)
-            cur = acc.get(tup, ZERO) + (c if sg > 0 else -c)
-            if cur.is_zero():
-                acc.pop(tup, None)
-            else:
-                acc[tup] = cur
+            acc[tup] = acc.get(tup, ZERO) + (c if sg > 0 else -c)
         return KForm(dim, degree, acc)
 
     # -- access --------------------------------------------------------------
@@ -134,11 +130,7 @@ class KForm:
             raise DimensionMismatchError("degree mismatch in addition")
         t = dict(self._t)
         for idx, c in other._t.items():
-            cur = t.get(idx, ZERO) + c
-            if cur.is_zero():
-                t.pop(idx, None)
-            else:
-                t[idx] = cur
+            t[idx] = t.get(idx, ZERO) + c
         return KForm(self.dim, self.degree, t)
 
     def __sub__(self, other: "KForm") -> "KForm":
@@ -149,8 +141,6 @@ class KForm:
 
     def scale(self, c) -> "KForm":
         c = as_scalar(c)
-        if c.is_zero():
-            return KForm(self.dim, self.degree, {})
         return KForm(self.dim, self.degree, {i: c * v for i, v in self._t.items()})
 
     def __rmul__(self, c) -> "KForm":
@@ -233,11 +223,7 @@ def wedge(a: KForm, b: KForm) -> KForm:
             if sg == 0:
                 continue
             v = c * d
-            cur = acc.get(tup, ZERO) + (v if sg > 0 else -v)
-            if cur.is_zero():
-                acc.pop(tup, None)
-            else:
-                acc[tup] = cur
+            acc[tup] = acc.get(tup, ZERO) + (v if sg > 0 else -v)
     return KForm(a.dim, a.degree + b.degree, acc)
 
 
@@ -251,18 +237,9 @@ def interior(vector: Sequence, a: KForm) -> KForm:
     acc: dict[tuple[int, ...], Scalar] = {}
     for idx, c in a._t.items():
         for pos, i in enumerate(idx):
-            vi = v[i - 1]
-            if vi.is_zero():
-                continue
             rest = idx[:pos] + idx[pos + 1 :]
-            term = vi * c
-            if pos % 2:
-                term = -term
-            cur = acc.get(rest, ZERO) + term
-            if cur.is_zero():
-                acc.pop(rest, None)
-            else:
-                acc[rest] = cur
+            term = v[i - 1] * c
+            acc[rest] = acc.get(rest, ZERO) + (-term if pos % 2 else term)
     return KForm(a.dim, a.degree - 1, acc)
 
 
@@ -274,25 +251,14 @@ def gl_action(endo: Matrix | Endo, a: KForm) -> KForm:
     if m.rows != a.dim or m.cols != a.dim:
         raise DimensionMismatchError("endomorphism size must match form dimension")
     acc: dict[tuple[int, ...], Scalar] = {}
-    rows = [m.row(i) for i in range(m.rows)]
     for idx, c in a._t.items():
         for pos, ip in enumerate(idx):
-            row = rows[ip - 1]
-            for j in range(a.dim):
-                co = row[j]
-                if co.is_zero():
-                    continue
+            for j, co in m.row_items(ip - 1):
                 tup, sg = sort_indices(idx[:pos] + (j + 1,) + idx[pos + 1 :])
                 if sg == 0:
                     continue
                 term = co * c
-                if sg > 0:
-                    term = -term
-                cur = acc.get(tup, ZERO) + term
-                if cur.is_zero():
-                    acc.pop(tup, None)
-                else:
-                    acc[tup] = cur
+                acc[tup] = acc.get(tup, ZERO) + (-term if sg > 0 else term)
     return KForm(a.dim, a.degree, acc)
 
 
@@ -306,8 +272,7 @@ def pullback(m: Matrix, a: KForm) -> KForm:
     if m.rows != a.dim:
         raise DimensionMismatchError("matrix rows must match form dimension")
     # nonzero entries (j, m[i-1][j-1]) of m^* e^i = sum_j m[i-1][j-1] e^j
-    support = [[(j, x) for j, x in enumerate(m.row(i), 1) if not x.is_zero()]
-               for i in range(m.rows)]
+    support = [[(j + 1, x) for j, x in m.row_items(i)] for i in range(m.rows)]
     acc: dict[tuple[int, ...], Scalar] = {}
     for idx, c in a._t.items():
         # expand the product of pulled-back 1-forms, dropping index tuples
@@ -318,11 +283,7 @@ def pullback(m: Matrix, a: KForm) -> KForm:
                        for j, x in support[i - 1] if j not in tup]
         for tup, coef in partial:
             stup, sg = sort_indices(tup)
-            cur = acc.get(stup, ZERO) + (coef if sg > 0 else -coef)
-            if cur.is_zero():
-                acc.pop(stup, None)
-            else:
-                acc[stup] = cur
+            acc[stup] = acc.get(stup, ZERO) + (coef if sg > 0 else -coef)
     return KForm(m.cols, a.degree, acc)
 
 

@@ -24,6 +24,10 @@ class NotG2Error(ValueError):
     """The given three-form is not a G2^eps structure."""
 
 
+class ModelTypeMismatchError(ArithmeticError):
+    """Two independent invariants of a hyperplane restriction disagree."""
+
+
 # -- model tensors -------------------------------------------------------------
 
 
@@ -96,9 +100,7 @@ def _action_matrix(forms: list[KForm]) -> Matrix:
     for i in range(n):
         row_actions = []
         for j in range(n):
-            basis_endo = Matrix(
-                [[ONE if (r == i and c == j) else ZERO for c in range(n)] for r in range(n)]
-            )
+            basis_endo = Matrix.sparse(n, n, {(i, j): ONE})
             row_actions.append([gl_action(basis_endo, f) for f in forms])
         actions.append(row_actions)
     rows: list[list[Scalar]] = []
@@ -227,8 +229,6 @@ def _rational_ninth_root(f: Fraction) -> Fraction | None:
 
 def ninth_root(d: Scalar) -> Scalar | None:
     """The real ninth root of d, if it lies in Q(sqrt2); None otherwise."""
-    if d.is_zero():
-        return Scalar(0)
     if d.is_rational():
         r = _rational_ninth_root(d.a)
         return None if r is None else Scalar(r)
@@ -425,7 +425,12 @@ def cubic_invariant(rho: KForm) -> Scalar:
 
 
 def hyperplane_model_type(s: G2EpsStructure, covector: KForm) -> HyperplaneType:
-    """Classify (phi|_W, star(phi)|_W) for the hyperplane W = ker(covector)."""
+    """Classify (phi|_W, star(phi)|_W) for the hyperplane W = ker(covector).
+
+    The type is read off the signature of g|_W and cross-checked against the
+    sign of the cubic invariant of phi|_W; ``ModelTypeMismatchError`` is
+    raised if the two disagree, which no G2^eps structure allows.
+    """
     if covector.dim != 7 or covector.degree != 1:
         raise ValueError("hyperplane must be given by a covector on R^7")
     if covector.is_zero():
@@ -461,7 +466,7 @@ def hyperplane_model_type(s: G2EpsStructure, covector: KForm) -> HyperplaneType:
     else:
         ok = lam_sign < 0
     if not ok:
-        raise AssertionError(
+        raise ModelTypeMismatchError(
             f"orbit invariant {lam} inconsistent with signature classification {result}"
         )
     return result

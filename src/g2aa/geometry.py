@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from .exterior import DegenerateMetricError, KForm, gl_action
 from .liealg import AlmostAbelianAlgebra
 from .linalg import Matrix
-from .scalars import HALF, ONE, ZERO, Scalar
+from .scalars import HALF, ZERO, Scalar
 
 
 @dataclass(frozen=True)
@@ -64,35 +64,15 @@ def levi_civita(algebra: AlmostAbelianAlgebra, metric: Matrix) -> ConnectionTabl
         ginv = metric.inverse()
     except ZeroDivisionError as exc:
         raise DegenerateMetricError("metric is degenerate") from exc
-
-    brackets = [[algebra.bracket(i + 1, j + 1) for j in range(n)] for i in range(n)]
-
-    def g_pair(vec: list[Scalar], k: int) -> Scalar:
-        # g(vec, f_k) with vec a coefficient vector
-        acc = ZERO
-        for a in range(n):
-            va = vec[a]
-            if not va.is_zero():
-                m = metric[a, k]
-                if not m.is_zero():
-                    acc = acc + va * m
-        return acc
-
-    nabla = []
-    for i in range(n):
-        cols = []
-        for j in range(n):
-            rhs = []
-            for k in range(n):
-                t = (
-                    g_pair(brackets[i][j], k)
-                    - g_pair(brackets[j][k], i)
-                    + g_pair(brackets[k][i], j)
-                )
-                rhs.append(HALF * t)
-            cols.append(ginv.apply(rhs))
-        nabla.append(Matrix.from_columns(cols))
-    return ConnectionTable(algebra, metric, tuple(nabla))
+    # gb[i][j][k] = g([f_i, f_j], f_k); the metric is symmetric
+    gb = [[metric.apply(algebra.bracket(i + 1, j + 1)) for j in range(n)] for i in range(n)]
+    # column j of nabla_i solves g(nabla_i f_j, f_k) = rhs_k (Koszul)
+    nabla = tuple(
+        ginv @ Matrix.from_columns(
+            [[HALF * (gb[i][j][k] - gb[j][k][i] + gb[k][i][j]) for k in range(n)]
+             for j in range(n)])
+        for i in range(n))
+    return ConnectionTable(algebra, metric, nabla)
 
 
 def curvature(conn: ConnectionTable) -> CurvatureReport:
@@ -103,25 +83,19 @@ def curvature(conn: ConnectionTable) -> CurvatureReport:
     r: dict[tuple[int, int], Matrix] = {}
     for i in range(n):
         for j in range(i + 1, n):
-            rij = nabla[i] @ nabla[j] - nabla[j] @ nabla[i]
-            bracket = algebra.bracket(i + 1, j + 1)
-            for k, c in enumerate(bracket):
-                if not c.is_zero():
-                    rij = rij - c * nabla[k]
+            rij = nabla[i].commutator(nabla[j])
+            for k, c in enumerate(algebra.bracket(i + 1, j + 1)):
+                rij = rij - c * nabla[k]
             r[(i, j)] = rij
-    ricci_rows = [[ZERO] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            acc = ZERO
-            for k in range(n):
-                if k == i:
-                    continue
-                rk = r[(k, i)] if k < i else r[(i, k)]
-                val = rk[k, j]
-                if not val.is_zero():
-                    acc = acc + (val if k < i else -val)
-            ricci_rows[i][j] = acc
-    ricci = Matrix(ricci_rows)
+    # Ric(f_i, f_j) = sum_k R(f_k, f_i)[k, j]: R(f_a, f_b) enters row b
+    # through its row a, and row a, negated, through its row b
+    ric: dict[tuple[int, int], Scalar] = {}
+    for (a, b), m in r.items():
+        for j, x in m.row_items(a):
+            ric[(b, j)] = ric.get((b, j), ZERO) + x
+        for j, x in m.row_items(b):
+            ric[(a, j)] = ric.get((a, j), ZERO) - x
+    ricci = Matrix.sparse(n, n, ric)
     is_flat = all(m.is_zero() for m in r.values())
     return CurvatureReport(r, ricci, is_flat, ricci.is_zero())
 
@@ -131,35 +105,46 @@ def endo_derivative(conn: ConnectionTable, z: int, t: Matrix) -> Matrix:
     return conn.nabla[z].commutator(t)
 
 
-def _r_bilinear(report: CurvatureReport, u: list[Scalar], w: list[Scalar]) -> Matrix:
-    n = report.ricci.rows
-    out = Matrix.zero(n)
-    for i in range(n):
-        ui = u[i]
-        if ui.is_zero():
+def _nabla_r(conn: ConnectionTable, report: CurvatureReport, triples):
+    """The one implementation of the covariant derivative of the curvature,
+
+        (nabla_z R)(f_x, f_y) = [nabla_z, R(f_x, f_y)]
+                                - R(nabla_z f_x, f_y) - R(f_x, nabla_z f_y),
+
+    yielding ((z, x, y), value) lazily for each triple, so that a caller
+    can stop at the first nonzero value.  Only the nonzero entries of the
+    columns nabla_z f_x and nabla_z f_y are walked."""
+    cols = [m.transpose() for m in conn.nabla]  # row x of cols[z] is nabla_z f_x
+    for z, x, y in triples:
+        out = endo_derivative(conn, z, report.r_of(x, y))
+        for a, c in cols[z].row_items(x):
+            out = out - c * report.r_of(a, y)
+        for a, c in cols[z].row_items(y):
+            out = out - c * report.r_of(x, a)
+        yield (z, x, y), out
+
+
+def _curved_triples(conn: ConnectionTable, report: CurvatureReport) -> list:
+    """The triples (z, x, y), x < y, at which some term of (nabla_z R)(f_x, f_y)
+    involves a nonzero R(f_p, f_q); nabla R vanishes at every other triple.
+
+    R(nabla_z f_x, f_y) involves R(f_p, f_q) when y = q and nabla_z[p, x] != 0,
+    or y = p and nabla_z[q, x] != 0; the last term likewise with x, y swapped."""
+    out = set()
+    for (p, q), m in report.r.items():
+        if m.is_zero():
             continue
-        for j in range(n):
-            wj = w[j]
-            if wj.is_zero() or i == j:
-                continue
-            c = ui * wj
-            rij = report.r[(i, j)] if i < j else report.r[(j, i)]
-            if rij.is_zero():
-                continue
-            out = out + (c if i < j else -c) * rij
-    return out
+        for z, nz in enumerate(conn.nabla):
+            out.add((z, p, q))
+            for a, b in ((p, q), (q, p)):
+                out.update((z, min(c, b), max(c, b)) for c, _ in nz.row_items(a) if c != b)
+    return sorted(out)
 
 
 def nabla_r_full(conn: ConnectionTable, report: CurvatureReport,
                  z: int, x: int, y: int) -> Matrix:
     """Full tensor derivative (nabla_z R)(f_x, f_y)."""
-    n = conn.algebra.n
-    t1 = endo_derivative(conn, z, report.r_of(x, y))
-    nx = list(conn.nabla[z].column(x))
-    ny = list(conn.nabla[z].column(y))
-    ex = [ONE if k == x else ZERO for k in range(n)]
-    ey = [ONE if k == y else ZERO for k in range(n)]
-    return t1 - _r_bilinear(report, nx, ey) - _r_bilinear(report, ex, ny)
+    return next(_nabla_r(conn, report, [(z, x, y)]))[1]
 
 
 @dataclass(frozen=True)
@@ -174,61 +159,44 @@ class NablaRData:
 def nabla_r(conn: ConnectionTable, report: CurvatureReport) -> NablaRData:
     """All (nabla_z R)(f_x, f_y) and all endomorphism derivatives
     nabla_z(R(f_x, f_y)); local symmetry means the full tensor vanishes."""
-    n = conn.algebra.n
-    endo: dict[tuple[int, int, int], Matrix] = {}
-    full: dict[tuple[int, int, int], Matrix] = {}
-    loc_sym = True
-    for z in range(n):
-        for x in range(n):
-            for y in range(x + 1, n):
-                rxy = report.r[(x, y)]
-                endo[(z, x, y)] = endo_derivative(conn, z, rxy)
-                t = nabla_r_full(conn, report, z, x, y)
-                full[(z, x, y)] = t
-                if loc_sym and not t.is_zero():
-                    loc_sym = False
-    return NablaRData(endo, full, loc_sym)
+    keys = [(z, x, y) for z in range(conn.algebra.n) for (x, y) in report.r]
+    endo = {k: endo_derivative(conn, k[0], report.r[k[1:]]) for k in keys}
+    full = dict.fromkeys(keys, Matrix.zero(conn.algebra.n))
+    full.update(_nabla_r(conn, report, _curved_triples(conn, report)))
+    return NablaRData(endo, full, all(m.is_zero() for m in full.values()))
 
 
 def is_locally_symmetric(conn: ConnectionTable, report: CurvatureReport) -> bool:
     """Early-exit check that the full nabla R vanishes."""
-    n = conn.algebra.n
-    nonzero_pairs = [(x, y) for (x, y), m in report.r.items() if not m.is_zero()]
-    if not nonzero_pairs:
-        return True
-    for z in range(n):
-        for x in range(n):
-            for y in range(x + 1, n):
-                if not nabla_r_full(conn, report, z, x, y).is_zero():
-                    return False
-    return True
+    triples = _curved_triples(conn, report)
+    return all(m.is_zero() for _, m in _nabla_r(conn, report, triples))
 
 
 class _SpanTracker:
-    """Incremental row reduction for flattened endomorphisms."""
+    """Incremental row reduction for flattened endomorphisms, kept sparse:
+    a row maps flat indices i*n + j to nonzero entries."""
 
     def __init__(self, n: int):
         self.n = n
-        self.rows: list[list[Scalar]] = []
+        self.rows: list[dict[int, Scalar]] = []
         self.pivots: list[int] = []
 
     def add(self, m: Matrix) -> bool:
-        v = [m[i, j] for i in range(self.n) for j in range(self.n)]
+        v = {i * self.n + j: x for (i, j), x in m.items()}
         for row, p in zip(self.rows, self.pivots):
-            c = v[p]
-            if not c.is_zero():
-                v = [a - c * b for a, b in zip(v, row)]
-        p = next((k for k, a in enumerate(v) if not a.is_zero()), None)
-        if p is None:
+            c = v.get(p)
+            if c is not None:
+                for k, b in row.items():
+                    x = v.pop(k, ZERO) - c * b
+                    if x.a or x.b:
+                        v[k] = x
+        if not v:
             return False
+        p = min(v)
         inv = v[p].inverse()
-        self.rows.append([inv * a for a in v])
+        self.rows.append({k: inv * a for k, a in v.items()})
         self.pivots.append(p)
         return True
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
 
 
 HOLONOMY_ITERATION_CAP = 49
@@ -242,7 +210,7 @@ def holonomy_algebra(conn: ConnectionTable, report: CurvatureReport) -> list[Mat
     basis: list[Matrix] = []
     frontier: list[Matrix] = []
     for m in report.r.values():
-        if not m.is_zero() and tracker.add(m):
+        if tracker.add(m):
             basis.append(m)
             frontier.append(m)
     rounds = 0
@@ -254,7 +222,7 @@ def holonomy_algebra(conn: ConnectionTable, report: CurvatureReport) -> list[Mat
         for m in frontier:
             for z in range(n):
                 d = endo_derivative(conn, z, m)
-                if not d.is_zero() and tracker.add(d):
+                if tracker.add(d):
                     basis.append(d)
                     new_frontier.append(d)
         frontier = new_frontier

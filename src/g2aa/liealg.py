@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .exterior import KForm, gl_action, wedge
 from .linalg import Matrix
-from .scalars import ONE, ZERO, Scalar
+from .scalars import ZERO, Scalar
 
 
 class NonNilpotentError(ValueError):
@@ -89,15 +89,7 @@ def differential(algebra: AlmostAbelianAlgebra, a: KForm) -> KForm:
     if a.degree >= n:
         return KForm(n, a.degree + 1, {})
     rho = KForm(n, a.degree, {idx: c for idx, c in a.items() if n not in idx})
-    if rho.is_zero():
-        return KForm(n, a.degree + 1, {})
-    m = algebra.ad_matrix
-    full = Matrix(
-        [
-            [m[i, j] if i < n - 1 and j < n - 1 else ZERO for j in range(n)]
-            for i in range(n)
-        ]
-    )
+    full = Matrix.sparse(n, n, dict(algebra.ad_matrix.items()))
     fn = KForm.basis(n, n)
     return wedge(fn, gl_action(full, rho))
 

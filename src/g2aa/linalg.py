@@ -1,36 +1,52 @@
-"""Dense exact linear algebra over Q(sqrt2).
+"""Sparse exact linear algebra over Q(sqrt2).
 
-Matrices are immutable, row-major, with ``Scalar`` entries.  Rank, kernel,
-determinant and inverse run through a fraction-free (Bareiss) elimination
-over Z[sqrt2] after clearing denominators row by row, which keeps
-intermediate entries small on the 35x49 and 35x36 stabilizer systems.
-Signatures of symmetric matrices use exact congruence diagonalization.
+Matrices are immutable and store only their nonzero ``Scalar`` entries, as
+a map from row index to a map from column index to entry, the way
+``KForm`` stores only its nonzero terms; sums, products and scaling touch
+nonzeros only.  Rank, kernel, determinant and inverse run on a dense view
+through a fraction-free (Bareiss) elimination over Z[sqrt2] after clearing
+denominators row by row, which keeps intermediate entries small on the
+35x49 and 35x36 stabilizer systems.  Signatures of symmetric matrices use
+exact congruence diagonalization.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .scalars import ONE, ZERO, Scalar, as_scalar
 
+_EMPTY: dict = {}
+_set = object.__setattr__
+
+
+def _of(rows: int, cols: int, entries: dict) -> "Matrix":
+    """A matrix on row maps that already hold only nonzero entries."""
+    m = object.__new__(Matrix)
+    _set(m, "rows", rows)
+    _set(m, "cols", cols)
+    _set(m, "_r", entries)
+    return m
+
 
 class Matrix:
-    """Immutable dense matrix over Q(sqrt2)."""
+    """Immutable sparse matrix over Q(sqrt2)."""
 
-    __slots__ = ("rows", "cols", "_e")
+    __slots__ = ("rows", "cols", "_r")
 
     def __init__(self, entries: Sequence[Sequence]):
-        rows = tuple(tuple(as_scalar(x) for x in row) for row in entries)
+        rows = [[as_scalar(x) for x in row] for row in entries]
         if not rows or not rows[0]:
             raise ValueError("matrix needs at least one row and one column")
         ncols = len(rows[0])
         if any(len(r) != ncols for r in rows):
             raise ValueError("ragged rows")
-        object.__setattr__(self, "rows", len(rows))
-        object.__setattr__(self, "cols", ncols)
-        object.__setattr__(self, "_e", rows)
+        nonzero = {i: {j: x for j, x in enumerate(r) if x.a or x.b} for i, r in enumerate(rows)}
+        _set(self, "rows", len(rows))
+        _set(self, "cols", ncols)
+        _set(self, "_r", {i: r for i, r in nonzero.items() if r})
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
@@ -39,55 +55,91 @@ class Matrix:
 
     @staticmethod
     def zero(rows: int, cols: int | None = None) -> "Matrix":
-        cols = rows if cols is None else cols
-        return Matrix([[ZERO] * cols for _ in range(rows)])
+        return _of(rows, rows if cols is None else cols, {})
 
     @staticmethod
     def identity(n: int) -> "Matrix":
-        return Matrix([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
+        return _of(n, n, {i: {i: ONE} for i in range(n)})
 
     @staticmethod
     def diagonal(values: Iterable) -> "Matrix":
-        vals = [as_scalar(v) for v in values]
-        n = len(vals)
-        return Matrix([[vals[i] if i == j else ZERO for j in range(n)] for i in range(n)])
+        vals = list(values)
+        return Matrix.sparse(len(vals), len(vals), {(i, i): v for i, v in enumerate(vals)})
+
+    @staticmethod
+    def sparse(rows: int, cols: int, entries: Mapping[tuple[int, int], object]) -> "Matrix":
+        """The rows x cols matrix with the given (i, j) -> value entries,
+        zero elsewhere."""
+        out: dict[int, dict[int, Scalar]] = {}
+        for (i, j), x in entries.items():
+            if not (0 <= i < rows and 0 <= j < cols):
+                raise IndexError(f"entry ({i}, {j}) outside a {rows}x{cols} matrix")
+            x = as_scalar(x)
+            if x.a or x.b:
+                out.setdefault(i, {})[j] = x
+        return _of(rows, cols, out)
 
     @staticmethod
     def from_columns(columns: Sequence[Sequence]) -> "Matrix":
-        cols = [[as_scalar(x) for x in c] for c in columns]
-        return Matrix([[cols[j][i] for j in range(len(cols))] for i in range(len(cols[0]))])
+        return Matrix(columns).transpose()
 
     # -- access --------------------------------------------------------------
 
     def __getitem__(self, key) -> Scalar:
         i, j = key
-        return self._e[i][j]
+        # indexing a range checks bounds and resolves negative indices
+        return self._r.get(range(self.rows)[i], _EMPTY).get(range(self.cols)[j], ZERO)
 
     def row(self, i: int) -> tuple:
-        return self._e[i]
+        r = self._r.get(range(self.rows)[i], _EMPTY)
+        return tuple(r.get(j, ZERO) for j in range(self.cols))
 
     def column(self, j: int) -> tuple:
-        return tuple(r[j] for r in self._e)
+        j = range(self.cols)[j]
+        return tuple(self._r.get(i, _EMPTY).get(j, ZERO) for i in range(self.rows))
 
     def tolist(self) -> list[list[Scalar]]:
-        return [list(r) for r in self._e]
+        return [[r.get(j, ZERO) for j in range(self.cols)]
+                for r in (self._r.get(i, _EMPTY) for i in range(self.rows))]
+
+    def items(self):
+        """((i, j), entry) for the nonzero entries."""
+        return (((i, j), x) for i, r in self._r.items() for j, x in r.items())
+
+    def row_items(self, i: int):
+        """(j, entry) for the nonzero entries of row i."""
+        return self._r.get(i, _EMPTY).items()
 
     # -- algebra -------------------------------------------------------------
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._check_shape(other)
-        return Matrix([[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self._e, other._e)])
+        out = dict(self._r)
+        for i, row in other._r.items():
+            acc = dict(out.get(i, _EMPTY))
+            for j, x in row.items():
+                v = acc.pop(j, ZERO) + x
+                if v.a or v.b:
+                    acc[j] = v
+            if acc:
+                out[i] = acc
+            else:
+                out.pop(i, None)
+        return _of(self.rows, self.cols, out)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        self._check_shape(other)
-        return Matrix([[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self._e, other._e)])
+        return self + (-other)
 
     def __neg__(self) -> "Matrix":
-        return Matrix([[-a for a in r] for r in self._e])
+        return _of(self.rows, self.cols,
+                   {i: {j: -x for j, x in r.items()} for i, r in self._r.items()})
 
     def scale(self, c) -> "Matrix":
         c = as_scalar(c)
-        return Matrix([[c * a for a in r] for r in self._e])
+        if not (c.a or c.b):
+            return _of(self.rows, self.cols, {})
+        return _of(self.rows, self.cols,
+                   {i: {j: c * x for j, x in r.items()} for i, r in self._r.items()})
 
     def __rmul__(self, c) -> "Matrix":
         return self.scale(c)
@@ -95,40 +147,44 @@ class Matrix:
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
-        out = [[ZERO] * other.cols for _ in range(self.rows)]
-        for i, row in enumerate(self._e):
-            out_i = out[i]
-            for k, a in enumerate(row):
-                if a.is_zero():
-                    continue
-                other_k = other._e[k]
-                for j, b in enumerate(other_k):
-                    if not b.is_zero():
-                        out_i[j] = out_i[j] + a * b
-        return Matrix(out)
+        b = other._r
+        out = {}
+        for i, row in self._r.items():
+            acc: dict[int, Scalar] = {}
+            for k, x in row.items():
+                for j, y in b.get(k, _EMPTY).items():
+                    v = acc.get(j)
+                    acc[j] = x * y if v is None else v + x * y
+            acc = {j: v for j, v in acc.items() if v.a or v.b}
+            if acc:
+                out[i] = acc
+        return _of(self.rows, other.cols, out)
 
     def apply(self, vec: Sequence) -> list[Scalar]:
         v = [as_scalar(x) for x in vec]
         if len(v) != self.cols:
             raise ValueError("vector length mismatch")
         out = [ZERO] * self.rows
-        for i, row in enumerate(self._e):
+        for i, row in self._r.items():
             acc = ZERO
-            for a, x in zip(row, v):
-                if not a.is_zero() and not x.is_zero():
-                    acc = acc + a * x
+            for j, x in row.items():
+                acc = acc + x * v[j]
             out[i] = acc
         return out
 
     def transpose(self) -> "Matrix":
-        return Matrix([[self._e[i][j] for i in range(self.rows)] for j in range(self.cols)])
+        out: dict[int, dict[int, Scalar]] = {}
+        for i, row in self._r.items():
+            for j, x in row.items():
+                out.setdefault(j, {})[i] = x
+        return _of(self.cols, self.rows, out)
 
     def trace(self) -> Scalar:
         if self.rows != self.cols:
             raise ValueError("trace of a non-square matrix")
         t = ZERO
-        for i in range(self.rows):
-            t = t + self._e[i][i]
+        for i, row in self._r.items():
+            t = t + row.get(i, ZERO)
         return t
 
     def commutator(self, other: "Matrix") -> "Matrix":
@@ -139,23 +195,21 @@ class Matrix:
         return (self.rows, self.cols)
 
     def is_zero(self) -> bool:
-        return all(x.is_zero() for r in self._e for x in r)
+        return not self._r
 
     def is_symmetric(self) -> bool:
-        return self.rows == self.cols and all(
-            self._e[i][j] == self._e[j][i] for i in range(self.rows) for j in range(i)
-        )
+        return self.rows == self.cols and self._r == self.transpose()._r
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        return self.shape == other.shape and self._e == other._e
+        return self.shape == other.shape and self._r == other._r
 
     def __hash__(self):
-        return hash(self._e)
+        return hash((self.rows, self.cols, frozenset(self.items())))
 
     def __repr__(self):
-        body = "; ".join(" ".join(str(x) for x in r) for r in self._e)
+        body = "; ".join(" ".join(str(x) for x in r) for r in self.tolist())
         return f"Matrix[{body}]"
 
     def _check_shape(self, other: "Matrix"):
@@ -167,7 +221,7 @@ class Matrix:
     def det(self) -> Scalar:
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        work, scales = _to_integer_rows(self._e)
+        work, scales = _to_integer_rows(self.tolist())
         d, nr_pivots = _bareiss_det(work)
         if nr_pivots < self.rows:
             return ZERO
@@ -177,31 +231,32 @@ class Matrix:
         return _from_pair(d) * undo
 
     def rank(self) -> int:
-        work, _ = _to_integer_rows(self._e)
+        work, _ = _to_integer_rows(self.tolist())
         _, pivots, _ = _bareiss_echelon(work)
         return len(pivots)
 
     def kernel(self) -> list[list[Scalar]]:
         """Basis of the right null space {x : self @ x = 0}."""
-        work, _ = _to_integer_rows(self._e)
+        work, _ = _to_integer_rows(self.tolist())
         echelon, pivots, _ = _bareiss_echelon(work)
         ncols = self.cols
         pivot_cols = [c for _, c in pivots]
         free_cols = [c for c in range(ncols) if c not in pivot_cols]
+        # each echelon row, bottom-up: its pivot column, the inverse of the
+        # pivot, and its nonzero entries right of the pivot
+        steps = [(pc, _from_pair(echelon[pr][pc]).inverse(),
+                  [(c, _from_pair(e)) for c, e in enumerate(echelon[pr][pc + 1:], pc + 1)
+                   if e != (0, 0)])
+                 for pr, pc in reversed(pivots)]
         basis = []
         for fc in free_cols:
             x: list[Scalar] = [ZERO] * ncols
             x[fc] = ONE
-            # back-substitute through the echelon rows, bottom-up
-            for r in range(len(pivots) - 1, -1, -1):
-                prow, pcol = pivots[r]
-                row = echelon[prow]
+            for pcol, inv, entries in steps:
                 acc = ZERO
-                for c in range(pcol + 1, ncols):
-                    xc = x[c]
-                    if not xc.is_zero() and row[c] != (0, 0):
-                        acc = acc + _from_pair(row[c]) * xc
-                x[pcol] = -acc / _from_pair(row[pcol])
+                for c, e in entries:
+                    acc = acc + e * x[c]
+                x[pcol] = -(acc * inv)
             basis.append(x)
         return basis
 
@@ -211,9 +266,10 @@ class Matrix:
         if self.rows != self.cols:
             raise ValueError("inverse of a non-square matrix")
         n = self.rows
-        eye = Matrix.identity(n)._e
-        basis = Matrix([r + e for r, e in zip(self._e, eye)]).kernel()
-        if any(tuple(x[n:]) != e for x, e in zip(basis, eye)):
+        eye = Matrix.identity(n).tolist()
+        aug = _of(n, 2 * n, {i: {**self._r.get(i, _EMPTY), n + i: ONE} for i in range(n)})
+        basis = aug.kernel()
+        if any(x[n:] != e for x, e in zip(basis, eye)):
             raise ZeroDivisionError("matrix is singular")
         return Matrix.from_columns([[-y for y in x[:n]] for x in basis])
 
@@ -224,10 +280,10 @@ class Matrix:
         """Sylvester signature (positives, negatives, zeros); requires symmetry."""
         if not self.is_symmetric():
             raise ValueError("signature needs a symmetric matrix")
-        return _congruence_signature([list(r) for r in self._e])
+        return _congruence_signature(self.tolist())
 
     def to_float(self) -> list[list[float]]:
-        return [[float(x) for x in r] for r in self._e]
+        return [[float(x) for x in r] for r in self.tolist()]
 
 
 # -- helper functions --------------------------------------------------------
@@ -258,7 +314,8 @@ def _to_integer_rows(entries) -> tuple[list[list[tuple[int, int]]], list[int]]:
         denom = 1
         for x in row:
             denom = lcm(denom, x.a.denominator, x.b.denominator)
-        work.append([(int(x.a * denom), int(x.b * denom)) for x in row])
+        work.append([(x.a.numerator * (denom // x.a.denominator),
+                      x.b.numerator * (denom // x.b.denominator)) for x in row])
         scales.append(denom)
     return work, scales
 
@@ -378,14 +435,12 @@ def _congruence_signature(a: list[list[Scalar]]) -> tuple[int, int, int]:
             neg += 1
         inv = piv.inverse()
         for i in range(pos_idx + 1, n):
-            if not a[i][pos_idx].is_zero():
-                f = a[i][pos_idx] * inv
-                for j in range(n):
-                    a[i][j] = a[i][j] - f * a[pos_idx][j]
+            f = a[i][pos_idx] * inv
+            for j in range(n):
+                a[i][j] = a[i][j] - f * a[pos_idx][j]
         for j in range(pos_idx + 1, n):
-            if not a[pos_idx][j].is_zero():
-                f = a[pos_idx][j] * inv
-                for i in range(n):
-                    a[i][j] = a[i][j] - f * a[i][pos_idx]
+            f = a[pos_idx][j] * inv
+            for i in range(n):
+                a[i][j] = a[i][j] - f * a[i][pos_idx]
         pos_idx += 1
     return pos, neg, zero

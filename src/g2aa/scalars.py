@@ -89,10 +89,17 @@ class Scalar:
 
     # -- arithmetic --------------------------------------------------------
 
+    # +, - and * return early on a zero operand: most operands in the
+    # curvature pipeline are zero.
+
     def __add__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if not (other.a or other.b):
+            return self
+        if not (self.a or self.b):
+            return other
         return Scalar(self.a + other.a, self.b + other.b)
 
     __radd__ = __add__
@@ -101,6 +108,8 @@ class Scalar:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if not (other.a or other.b):
+            return self
         return Scalar(self.a - other.a, self.b - other.b)
 
     def __rsub__(self, other):
@@ -117,6 +126,10 @@ class Scalar:
         if other is NotImplemented:
             return NotImplemented
         a, b, c, d = self.a, self.b, other.a, other.b
+        if not (a or b):
+            return self
+        if not (c or d):
+            return other
         if not b and not d:
             return Scalar(a * c)
         return Scalar(a * c + 2 * b * d, a * d + b * c)

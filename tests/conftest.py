@@ -155,3 +155,49 @@ def plain_gauss_rank(m: Matrix) -> int:
         if r == nr:
             break
     return r
+
+
+def oracle_nabla_r(conn) -> dict:
+    """Every (nabla_z R)(f_x, f_y), x < y, as dense lists, from the
+    definitions alone: R(f_i, f_j) = [nabla_i, nabla_j] - nabla_{[f_i, f_j]}
+    and (nabla_z R)(X, Y) = [nabla_z, R(X, Y)] - R(nabla_z X, Y) - R(X, nabla_z Y),
+    on dense lists of lists."""
+    n = conn.algebra.n
+    nab = [m.tolist() for m in conn.nabla]
+
+    def lin(terms):
+        out = [[ZERO] * n for _ in range(n)]
+        for c, m in terms:
+            if c.is_zero():
+                continue
+            for i in range(n):
+                for j in range(n):
+                    out[i][j] = out[i][j] + c * m[i][j]
+        return out
+
+    def mm(a, b):
+        return [[sum((a[i][k] * b[k][j] for k in range(n)), ZERO) for j in range(n)]
+                for i in range(n)]
+
+    def br(a, b):
+        return lin([(ONE, mm(a, b)), (-ONE, mm(b, a))])
+
+    r = [[lin([(ONE, br(nab[i], nab[j]))]
+              + [(-c, nab[k]) for k, c in enumerate(conn.algebra.bracket(i + 1, j + 1))])
+          for j in range(n)] for i in range(n)]
+
+    def r_of(u, w):
+        return lin([(u[i] * w[j], r[i][j]) for i in range(n) for j in range(n)])
+
+    def unit(k):
+        return [ONE if i == k else ZERO for i in range(n)]
+
+    out = {}
+    for z in range(n):
+        col = [[nab[z][i][k] for i in range(n)] for k in range(n)]
+        for x in range(n):
+            for y in range(x + 1, n):
+                out[(z, x, y)] = lin([(ONE, br(nab[z], r[x][y])),
+                                      (-ONE, r_of(col[x], unit(y))),
+                                      (-ONE, r_of(unit(x), col[y]))])
+    return out

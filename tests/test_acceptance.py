@@ -19,6 +19,8 @@ import time
 from fractions import Fraction
 from itertools import product
 
+import pytest
+
 from g2aa.exterior import KForm, gl_action, hodge_star, wedge
 from g2aa.g2 import (
     WITT_GRAM,
@@ -58,6 +60,7 @@ from g2aa.classify import (
     nilpotent_parallel_report,
     nilpotent_witnesses,
     pipeline_report,
+    sweep_parameter_grid,
     table1_diff,
     witness_block_matrix,
 )
@@ -266,6 +269,20 @@ def test_criterion_06_nilpotent_sweep_pipeline_vs_rules():
     elapsed = time.time() - start
     assert elapsed < 300.0
     print(f"PASS criterion 6: sweep of {len(points)} points, pipeline == closed form ({elapsed:.1f}s)")
+
+
+@pytest.mark.exhaustive
+def test_bound1_grid_pipeline_equals_closed_form():
+    """Criterion 6 on every point of the bound-1 grid, algebra names
+    included.  Opt in with ``pytest -m exhaustive``."""
+    count = 0
+    for p in sweep_parameter_grid(1):
+        closed = nilpotent_parallel_report(p)
+        direct = pipeline_report(p)
+        assert (closed.algebra_name, closed.hol_dim, closed.flat, closed.locally_symmetric) == (
+            direct.algebra_name, direct.hol_dim, direct.flat, direct.locally_symmetric), p
+        count += 1
+    assert count == 3**9
 
 
 def test_criterion_07_identification_sweep():

@@ -53,6 +53,20 @@ def test_rejects_inputs_outside_the_domain(tmp_path, capsys):
     huge = write_form(tmp_path, phi_model(-1).scale(10**40), "huge.json")
     assert main(["certify", "--form", huge]) == EXIT_DOMAIN
     assert "too large" in capsys.readouterr().out
+    # n = 7 with a 5x5 ad-matrix, and an entry that is not a scalar
+    small = tmp_path / "small.json"
+    small.write_text(json.dumps({"n": 7, "ad": [["0"] * 5 for _ in range(5)]}))
+    assert main(["decide", "--input", str(small), "--mode", "g2"]) == EXIT_DOMAIN
+    assert "6x6" in capsys.readouterr().err
+    bad = [["0"] * 6 for _ in range(6)]
+    bad[2][3] = "1/0"
+    bad_path = tmp_path / "bad_scalar.json"
+    bad_path.write_text(json.dumps({"n": 7, "ad": bad}))
+    assert main(["decide", "--input", str(bad_path), "--mode", "g2"]) == EXIT_DOMAIN
+    assert main(["report", "--input", str(bad_path), "--form", fpath]) == EXIT_DOMAIN
+    zero = write_algebra(tmp_path, AlmostAbelianAlgebra(7, Matrix.zero(6)), "zero.json")
+    assert main(["decide", "--input", zero, "--mode", "g2", "--eigen", "1,x"]) == EXIT_DOMAIN
+    assert "malformed scalar '1/0'" in capsys.readouterr().err
 
 
 def test_report_example_a(tmp_path, capsys):
@@ -91,6 +105,16 @@ def test_reproduce_sections(which, capsys):
     assert main(["reproduce", which]) == EXIT_OK
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
+
+
+def test_reproduce_json_records(capsys):
+    assert main(["reproduce", "witt", "--format", "json"]) == EXIT_OK
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert len(records) == 5
+    for rec in records:
+        assert set(rec) == {"name", "ok", "seconds"}
+        assert rec["ok"] is True and rec["seconds"] >= 0
+    assert records[0]["name"] == "witt image of phi"
 
 
 def test_reproduce_sweep_small(capsys):

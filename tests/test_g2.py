@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ from g2aa.exterior import KForm, gl_action, pullback
 from g2aa.g2 import (
     WITT_GRAM,
     HyperplaneType,
+    ModelTypeMismatchError,
     NotG2Error,
     adapted_metric,
     bilinear_volume_form,
@@ -256,6 +258,15 @@ def test_hyperplane_type_rejects_zero_covector():
     s = certify_g2(phi_model(-1))
     with pytest.raises(ValueError):
         hyperplane_model_type(s, KForm.zero(7, 1))
+
+
+def test_hyperplane_type_rejects_inconsistent_invariants():
+    s = certify_g2(phi_model(-1))
+    # a metric degenerate on ker f^7 says RHO_NULL, while phi there is
+    # rho_minus with negative cubic invariant: the two checks disagree
+    fake = dataclasses.replace(s, metric=Matrix.diagonal([0, 1, 1, 1, 1, 1, 1]))
+    with pytest.raises(ModelTypeMismatchError):
+        hyperplane_model_type(fake, KForm.basis(7, 7))
 
 
 def test_hyperplane_type_invariance_under_pullback():

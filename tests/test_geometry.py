@@ -21,7 +21,7 @@ from g2aa.liealg import AlmostAbelianAlgebra, differential
 from g2aa.linalg import Matrix
 from g2aa.scalars import ONE, ZERO, Scalar
 
-from conftest import random_matrix, random_unimodular
+from conftest import oracle_nabla_r, random_matrix, random_unimodular
 
 
 def example_a_algebra():
@@ -211,23 +211,59 @@ def test_curvature_identities_random():
         assert rep.ricci.is_symmetric()
 
 
-def test_second_bianchi_random():
+@pytest.fixture(scope="module")
+def nabla_r_cases():
+    """(conn, curvature, nabla_r) for six random 5-dimensional algebras and
+    metrics, one random 7-dimensional one, two points of the nilpotent
+    degenerate family (one locally symmetric but not flat, one not locally
+    symmetric), and a sparse case where a nonzero (nabla_z R)(f_x, f_y) is
+    found only through row q of nabla_z for a curved pair (p, q), p < q."""
+    from g2aa.classify import NilpotentParallelParams, nilpotent_structure_matrix
+
     rng = random.Random(54)
-    for _ in range(6):
-        alg = random_algebra(rng, 5)
-        g = random_metric(rng, 5)
+    pairs = [(random_algebra(rng, n), random_metric(rng, n)) for n in (5,) * 6 + (7,)]
+    for b in ([[1, 0], [0, -1]], [[0, 0], [1, 0]]):
+        p = NilpotentParallelParams.of(1, b, (0, 0), (0, 0))
+        pairs.append((AlmostAbelianAlgebra(7, nilpotent_structure_matrix(p)),
+                      witt_structure().metric))
+    pairs.append((AlmostAbelianAlgebra(5, Matrix.sparse(4, 4, {(0, 3): -1, (1, 0): -1})),
+                  Matrix.diagonal([-1, -1, 1, 1, -1])))
+    out = []
+    for alg, g in pairs:
         conn = levi_civita(alg, g)
         rep = curvature(conn)
-        n = 5
+        out.append((conn, rep, nabla_r(conn, rep)))
+    return out
+
+
+def test_second_bianchi_random(nabla_r_cases):
+    for conn, rep, data in nabla_r_cases:
+        n = conn.algebra.n
+
+        def nr(z, x, y):
+            if x == y:
+                return Matrix.zero(n)
+            return data.full_tensor[(z, x, y)] if x < y else -data.full_tensor[(z, y, x)]
+
         for z in range(n):
             for x in range(n):
                 for y in range(x + 1, n):
-                    s = (
-                        nabla_r_full(conn, rep, z, x, y)
-                        + nabla_r_full(conn, rep, x, y, z)
-                        + nabla_r_full(conn, rep, y, z, x)
-                    )
-                    assert s.is_zero()
+                    assert (nr(z, x, y) + nr(x, y, z) + nr(y, z, x)).is_zero()
+
+
+def test_nabla_r_equals_dense_reference(nabla_r_cases):
+    seen = set()
+    for conn, rep, data in nabla_r_cases:
+        expected = oracle_nabla_r(conn)
+        assert set(data.full_tensor) == set(expected)
+        for (z, x, y), want in expected.items():
+            got = data.full_tensor[(z, x, y)]
+            assert got.tolist() == want
+            assert nabla_r_full(conn, rep, z, y, x) == -got
+        symmetric = all(all(x.is_zero() for row in m for x in row) for m in expected.values())
+        assert is_locally_symmetric(conn, rep) is data.is_locally_symmetric is symmetric
+        seen.add((symmetric, rep.is_flat))
+    assert {(True, False), (False, False)} <= seen
 
 
 def test_scaling_invariance_of_curvature_and_holonomy():

@@ -137,3 +137,29 @@ def test_gram_restriction():
     g = Matrix.diagonal([-1, -1, 1])
     w = Matrix.from_columns([[ONE, ZERO, ONE], [ZERO, ONE, ZERO]])
     assert w.transpose() @ g @ w == Matrix([[0, 0], [0, -1]])
+
+
+def test_sparse_storage_with_dense_views():
+    # explicit zeros are not stored: equal and hashing alike to the sparse build
+    dense = Matrix([[0, 1, 0], ["0", 0, Scalar(0)], [Fraction(1, 2), 0, "sqrt2"]])
+    sparse = Matrix.sparse(3, 3, {(0, 1): 1, (1, 1): 0, (2, 0): Fraction(1, 2),
+                                  (2, 2): Scalar(0, 1)})
+    assert dense == sparse and hash(dense) == hash(sparse)
+    assert sorted(ij for ij, _ in dense.items()) == [(0, 1), (2, 0), (2, 2)]
+    # row, column and tolist are dense
+    assert dense.row(1) == (ZERO, ZERO, ZERO)
+    assert dense.column(0) == (ZERO, ZERO, Scalar(Fraction(1, 2)))
+    assert dense.tolist() == [[ZERO, ONE, ZERO], [ZERO] * 3,
+                              [Scalar(Fraction(1, 2)), ZERO, Scalar(0, 1)]]
+    assert dense[-1, -1] == Scalar(0, 1) and dense[1, 2] == ZERO
+    with pytest.raises(IndexError):
+        dense[3, 0]
+    with pytest.raises(IndexError):
+        Matrix.sparse(2, 2, {(0, 2): 1})
+    # results that cancel to zero store no entries
+    a = Matrix([[1, 2], [3, "sqrt2"]])
+    nil = Matrix([[0, 1], [0, 0]])
+    for zero in (a - a, a + (-a), a.scale(0), nil @ nil,
+                 Matrix([[1, 1]]) @ Matrix([[1], [-1]]), a.commutator(a)):
+        assert list(zero.items()) == [] and zero.is_zero()
+    assert a - a == Matrix.zero(2) and hash(a - a) == hash(Matrix.zero(2))
