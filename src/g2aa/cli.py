@@ -41,7 +41,7 @@ from .classify import (
     sweep_parameter_grid,
     table1_diff,
 )
-from .scalars import Scalar, as_scalar
+from .scalars import Scalar
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -68,22 +68,18 @@ def _load_algebra(source: str) -> AlmostAbelianAlgebra:
     path = Path(source)
     if not path.exists():
         raise FileNotFoundError(f"no such algebra file: {source}")
-    data = json.loads(path.read_text())
-    n, ad = int(data["n"]), data["ad"]
-    if n != 7:
-        raise DomainError(f"algebra has dimension {n}, not 7")
-    if not isinstance(ad, list) or len(ad) != 6 or any(
-            not isinstance(row, list) or len(row) != 6 for row in ad):
-        raise DomainError("ad-matrix must be 6x6 for an algebra of dimension 7")
-    return AlmostAbelianAlgebra(7, Matrix([[_parse_scalar(x) for x in row] for row in ad]))
+    algebra = _parsed(AlmostAbelianAlgebra.from_json_dict, json.loads(path.read_text()))
+    if algebra.n != 7:
+        raise DomainError(f"algebra has dimension {algebra.n}, not 7")
+    return algebra
 
 
-def _parse_scalar(x) -> Scalar:
-    """A scalar given as text ("p/q+r/s*sqrt2") or an integer."""
+def _parsed(parse, value):
+    """parse(value), with a malformed value reported as a DomainError."""
     try:
-        return as_scalar(x)
-    except (ValueError, ZeroDivisionError, TypeError) as exc:
-        raise DomainError(f"malformed scalar {x!r}") from exc
+        return parse(value)
+    except (ValueError, TypeError) as exc:
+        raise DomainError(str(exc)) from exc
 
 
 def _signature_text(s) -> str:
@@ -194,7 +190,8 @@ def cmd_report(args) -> int:
 def cmd_decide(args) -> int:
     try:
         algebra = _load_algebra(args.input)
-        eigen = [_parse_scalar(x) for x in args.eigen.split(",")] if args.eigen else None
+        eigen = ([_parsed(Scalar.from_string, x) for x in args.eigen.split(",")]
+                 if args.eigen else None)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

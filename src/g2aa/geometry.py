@@ -188,7 +188,7 @@ class _SpanTracker:
             if c is not None:
                 for k, b in row.items():
                     x = v.pop(k, ZERO) - c * b
-                    if x.a or x.b:
+                    if not x.is_zero():
                         v[k] = x
         if not v:
             return False

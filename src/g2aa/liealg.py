@@ -29,7 +29,7 @@ class AlmostAbelianAlgebra:
 
     def __post_init__(self):
         if self.ad_matrix.rows != self.n - 1 or self.ad_matrix.cols != self.n - 1:
-            raise ValueError("ad matrix must be (n-1) x (n-1)")
+            raise ValueError(f"ad matrix must be {self.n - 1}x{self.n - 1}")
 
     def bracket(self, i: int, j: int) -> list[Scalar]:
         """[f_i, f_j] as a coefficient vector (1-based arguments)."""

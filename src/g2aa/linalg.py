@@ -13,7 +13,7 @@ exact congruence diagonalization.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 from typing import Iterable, Mapping, Sequence
 
 from .scalars import ONE, ZERO, Scalar, as_scalar
@@ -37,16 +37,23 @@ class Matrix:
     __slots__ = ("rows", "cols", "_r")
 
     def __init__(self, entries: Sequence[Sequence]):
-        rows = [[as_scalar(x) for x in row] for row in entries]
-        if not rows or not rows[0]:
+        if not entries or not entries[0]:
             raise ValueError("matrix needs at least one row and one column")
-        ncols = len(rows[0])
-        if any(len(r) != ncols for r in rows):
-            raise ValueError("ragged rows")
-        nonzero = {i: {j: x for j, x in enumerate(r) if x.a or x.b} for i, r in enumerate(rows)}
-        _set(self, "rows", len(rows))
+        ncols = len(entries[0])
+        out: dict[int, dict[int, Scalar]] = {}
+        for i, row in enumerate(entries):
+            if len(row) != ncols:
+                raise ValueError("ragged rows")
+            r = {}
+            for j, x in enumerate(row):
+                x = x if type(x) is Scalar else as_scalar(x)
+                if not x.is_zero():
+                    r[j] = x
+            if r:
+                out[i] = r
+        _set(self, "rows", len(entries))
         _set(self, "cols", ncols)
-        _set(self, "_r", {i: r for i, r in nonzero.items() if r})
+        _set(self, "_r", out)
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
@@ -75,7 +82,7 @@ class Matrix:
             if not (0 <= i < rows and 0 <= j < cols):
                 raise IndexError(f"entry ({i}, {j}) outside a {rows}x{cols} matrix")
             x = as_scalar(x)
-            if x.a or x.b:
+            if not x.is_zero():
                 out.setdefault(i, {})[j] = x
         return _of(rows, cols, out)
 
@@ -119,7 +126,7 @@ class Matrix:
             acc = dict(out.get(i, _EMPTY))
             for j, x in row.items():
                 v = acc.pop(j, ZERO) + x
-                if v.a or v.b:
+                if not v.is_zero():
                     acc[j] = v
             if acc:
                 out[i] = acc
@@ -136,7 +143,7 @@ class Matrix:
 
     def scale(self, c) -> "Matrix":
         c = as_scalar(c)
-        if not (c.a or c.b):
+        if c.is_zero():
             return _of(self.rows, self.cols, {})
         return _of(self.rows, self.cols,
                    {i: {j: c * x for j, x in r.items()} for i, r in self._r.items()})
@@ -155,7 +162,7 @@ class Matrix:
                 for j, y in b.get(k, _EMPTY).items():
                     v = acc.get(j)
                     acc[j] = x * y if v is None else v + x * y
-            acc = {j: v for j, v in acc.items() if v.a or v.b}
+            acc = {j: v for j, v in acc.items() if not v.is_zero()}
             if acc:
                 out[i] = acc
         return _of(self.rows, other.cols, out)
@@ -225,10 +232,7 @@ class Matrix:
         d, nr_pivots = _bareiss_det(work)
         if nr_pivots < self.rows:
             return ZERO
-        undo = Scalar(Fraction(1))
-        for s in scales:
-            undo = undo * Scalar(Fraction(1, s))
-        return _from_pair(d) * undo
+        return _from_pair(d) * Scalar(Fraction(1, prod(scales)))
 
     def rank(self) -> int:
         work, _ = _to_integer_rows(self.tolist())

@@ -39,31 +39,32 @@ class Scalar:
         """Parse the canonical serialization (see ``__str__``).
 
         Accepted forms: "p/q", "p/q*sqrt2", "p/q+r/s*sqrt2", "p/q-r/s*sqrt2",
-        with integer numerators/denominators and no spaces.
+        with integer numerators/denominators and no spaces; else ValueError.
         """
         s = text.strip().replace(" ", "")
-        if not s:
-            raise ValueError("empty scalar string")
-        if "sqrt2" not in s:
-            return Scalar(Fraction(s))
-        head, _, _ = s.partition("sqrt2")
-        if head.endswith("*"):
-            head = head[:-1]
-        # split off the rational part, if any; find the sign that separates it
-        # from the sqrt2 coefficient (not the leading sign, not one inside /)
-        split = -1
-        for i in range(1, len(head)):
-            if head[i] in "+-" and head[i - 1] not in "+-*/":
-                split = i
-        if split < 0:
-            rat, coef = "0", head
-        else:
-            rat, coef = head[:split], head[split:]
-        if coef in ("", "+"):
-            coef = "1"
-        elif coef == "-":
-            coef = "-1"
-        return Scalar(Fraction(rat), Fraction(coef))
+        try:
+            if "sqrt2" not in s:
+                return Scalar(Fraction(s))
+            head, _, _ = s.partition("sqrt2")
+            if head.endswith("*"):
+                head = head[:-1]
+            # split off the rational part, if any; find the sign that separates
+            # it from the sqrt2 coefficient (not the leading sign, not one inside /)
+            split = -1
+            for i in range(1, len(head)):
+                if head[i] in "+-" and head[i - 1] not in "+-*/":
+                    split = i
+            if split < 0:
+                rat, coef = "0", head
+            else:
+                rat, coef = head[:split], head[split:]
+            if coef in ("", "+"):
+                coef = "1"
+            elif coef == "-":
+                coef = "-1"
+            return Scalar(Fraction(rat), Fraction(coef))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValueError(f"malformed scalar {text!r}") from exc
 
     # -- predicates --------------------------------------------------------
 

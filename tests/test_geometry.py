@@ -237,18 +237,18 @@ def nabla_r_cases():
 
 
 def test_second_bianchi_random(nabla_r_cases):
-    for conn, rep, data in nabla_r_cases:
+    for conn, rep, _ in nabla_r_cases:
         n = conn.algebra.n
-
-        def nr(z, x, y):
-            if x == y:
-                return Matrix.zero(n)
-            return data.full_tensor[(z, x, y)] if x < y else -data.full_tensor[(z, y, x)]
-
         for z in range(n):
             for x in range(n):
+                assert nabla_r_full(conn, rep, z, x, x).is_zero()
                 for y in range(x + 1, n):
-                    assert (nr(z, x, y) + nr(x, y, z) + nr(y, z, x)).is_zero()
+                    s = (
+                        nabla_r_full(conn, rep, z, x, y)
+                        + nabla_r_full(conn, rep, x, y, z)
+                        + nabla_r_full(conn, rep, y, z, x)
+                    )
+                    assert s.is_zero()
 
 
 def test_nabla_r_equals_dense_reference(nabla_r_cases):

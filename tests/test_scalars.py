@@ -91,5 +91,8 @@ def test_canonical_strings():
 def test_as_scalar_rejects_junk():
     with pytest.raises(TypeError):
         as_scalar(object())
+    for text in ("1/0", "", "x"):
+        with pytest.raises(ValueError, match=f"malformed scalar '{text}'"):
+            as_scalar(text)
     with pytest.raises(ZeroDivisionError):
         ZERO.inverse()
