@@ -39,6 +39,6 @@ cases = [
 for label, p in cases:
     closed = nilpotent_parallel_report(p)
     direct = pipeline_report(p)
-    assert (closed.algebra_name, closed.hol_dim) == (direct.algebra_name, direct.hol_dim)
+    assert closed == direct
     print(f"  {label:10s} -> algebra {closed.algebra_name:12s} hol {closed.hol_dim} "
           f"locally symmetric {closed.locally_symmetric}  flat {closed.flat}")

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 from .exterior import KForm, gl_action
 from .g2 import (
@@ -583,24 +583,30 @@ TABLE1_EXPECTED: tuple[TableRow, ...] = (
 )
 
 
+def _grid_point(t: tuple) -> NilpotentParallelParams:
+    delta, b11, b12, b21, b22, v1, v2, w1, w2 = t
+    return NilpotentParallelParams.of(delta, [[b11, b12], [b21, b22]], (v1, v2), (w1, w2))
+
+
+def _grid(bound: int):
+    vals = range(-bound, bound + 1)
+    return product((-1, 0, 1), *[vals] * 8)
+
+
 def sweep_parameter_grid(bound: int = 1):
-    """Deterministic grid over the nilpotent degenerate family."""
-    vals = list(range(-bound, bound + 1))
-    for delta in (-1, 0, 1):
-        for b11 in vals:
-            for b12 in vals:
-                for b21 in vals:
-                    for b22 in vals:
-                        for v1 in vals:
-                            for v2 in vals:
-                                for w1 in vals:
-                                    for w2 in vals:
-                                        yield NilpotentParallelParams.of(
-                                            delta,
-                                            [[b11, b12], [b21, b22]],
-                                            (v1, v2),
-                                            (w1, w2),
-                                        )
+    """Deterministic grid over the nilpotent degenerate family, in the
+    lexicographic order of (delta, B, v, w)."""
+    return map(_grid_point, _grid(bound))
+
+
+def sweep_sample(bound: int, count: int):
+    """``count`` evenly spaced points of ``sweep_parameter_grid(bound)`` in
+    grid order (all of them if the grid is no larger), so that every delta
+    is sampled."""
+    points = list(_grid(bound))
+    if count < len(points):
+        points = [points[k * len(points) // count] for k in range(count)]
+    return map(_grid_point, points)
 
 
 def regenerate_table1(bound: int = 1) -> list[TableRow]:
@@ -661,20 +667,12 @@ def table1_diff(bound: int = 1) -> list[str]:
 # -- direct pipeline (used for consistency tests and the CLI) -----------------------
 
 
-@dataclass(frozen=True)
-class PipelineResult:
-    algebra_name: str
-    hol_dim: int
-    locally_symmetric: bool
-    flat: bool
-
-
-def pipeline_report(p: NilpotentParallelParams) -> PipelineResult:
+def pipeline_report(p: NilpotentParallelParams) -> NilpotentReport:
     """Run the honest geometry pipeline on a built instance and read the
     same four fields that the closed-form report produces."""
     inst = build_instance(p)
     report = analyze(inst.algebra, inst.phi, inst.structure.metric)
     entry = identify_nilpotent(inst.algebra)
-    return PipelineResult(
+    return NilpotentReport(
         entry.name, report.hol_dim, report.is_locally_symmetric, report.is_flat
     )

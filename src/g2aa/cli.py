@@ -38,7 +38,7 @@ from .classify import (
     Decision,
     nilpotent_parallel_report,
     pipeline_report,
-    sweep_parameter_grid,
+    sweep_sample,
     table1_diff,
 )
 from .scalars import Scalar
@@ -95,7 +95,7 @@ def _signature_text(s) -> str:
 def cmd_certify(args) -> int:
     if args.tol <= 0:
         print("error: tolerance must be positive", file=sys.stderr)
-        return EXIT_INTERNAL
+        return EXIT_DOMAIN
     try:
         phi = _load_form(args.form)
     except Exception as exc:
@@ -206,7 +206,7 @@ def cmd_decide(args) -> int:
         if args.mode == "g2star_deg":
             print("error: parallel decisions cover the non-degenerate modes only",
                   file=sys.stderr)
-            return EXIT_INTERNAL
+            return EXIT_DOMAIN
         got = parallel_nondeg_decision(algebra, args.mode)
     if args.format == "json":
         print(json.dumps({"kind": args.kind, "mode": args.mode, "decision": got.value}))
@@ -333,19 +333,16 @@ def _reproduce_table1(check: _Checks):
 
 def _reproduce_sweep(check: _Checks, bound: int, limit: int):
     count = 0
-    bad = 0
-    for p in sweep_parameter_grid(bound):
-        if count >= limit:
-            break
+    ok = True
+    for p in sweep_sample(bound, limit):
         count += 1
         closed = nilpotent_parallel_report(p)
         direct = pipeline_report(p)
-        if (closed.algebra_name, closed.hol_dim, closed.locally_symmetric, closed.flat) != (
-            direct.algebra_name, direct.hol_dim, direct.locally_symmetric, direct.flat
-        ):
-            bad += 1
-    check(f"sweep: closed-form report matches pipeline on {count} points",
-           bad == 0)
+        if ok and closed != direct:
+            ok = False
+            print(f"sweep: first mismatch at {json.dumps(closed.to_json_dict(p)['params'])}: "
+                  f"closed form {closed} != pipeline {direct}", file=sys.stderr)
+    check(f"sweep: closed-form report matches pipeline on {count} points", ok)
 
 
 def cmd_reproduce(args) -> int:
@@ -412,7 +409,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_repr.add_argument("which", choices=("table1", "example_a", "example_b",
                                           "stabilizers", "witt", "sweep", "all"))
     p_repr.add_argument("--sweep-bound", type=int, default=1, dest="sweep_bound")
-    p_repr.add_argument("--sweep-limit", type=int, default=120, dest="sweep_limit")
+    p_repr.add_argument("--sweep-limit", type=int, default=120, dest="sweep_limit",
+                        help="number of evenly spaced grid points to check")
     p_repr.add_argument("--format", choices=("text", "json"), default="text")
     p_repr.set_defaults(func=cmd_reproduce)
     return parser

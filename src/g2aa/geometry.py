@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .exterior import DegenerateMetricError, KForm, gl_action
 from .liealg import AlmostAbelianAlgebra
-from .linalg import Matrix
+from .linalg import Echelon, Matrix
 from .scalars import HALF, ZERO, Scalar
 
 
@@ -172,33 +172,6 @@ def is_locally_symmetric(conn: ConnectionTable, report: CurvatureReport) -> bool
     return all(m.is_zero() for _, m in _nabla_r(conn, report, triples))
 
 
-class _SpanTracker:
-    """Incremental row reduction for flattened endomorphisms, kept sparse:
-    a row maps flat indices i*n + j to nonzero entries."""
-
-    def __init__(self, n: int):
-        self.n = n
-        self.rows: list[dict[int, Scalar]] = []
-        self.pivots: list[int] = []
-
-    def add(self, m: Matrix) -> bool:
-        v = {i * self.n + j: x for (i, j), x in m.items()}
-        for row, p in zip(self.rows, self.pivots):
-            c = v.get(p)
-            if c is not None:
-                for k, b in row.items():
-                    x = v.pop(k, ZERO) - c * b
-                    if not x.is_zero():
-                        v[k] = x
-        if not v:
-            return False
-        p = min(v)
-        inv = v[p].inverse()
-        self.rows.append({k: inv * a for k, a in v.items()})
-        self.pivots.append(p)
-        return True
-
-
 HOLONOMY_ITERATION_CAP = 49
 
 
@@ -206,11 +179,15 @@ def holonomy_algebra(conn: ConnectionTable, report: CurvatureReport) -> list[Mat
     """Infinitesimal holonomy: the span of all curvature endomorphisms,
     closed under covariant differentiation along every basis direction."""
     n = conn.algebra.n
-    tracker = _SpanTracker(n)
+    echelon = Echelon()
+
+    def independent(m: Matrix) -> bool:
+        return echelon.add({i * n + j: x for (i, j), x in m.items()})
+
     basis: list[Matrix] = []
     frontier: list[Matrix] = []
     for m in report.r.values():
-        if tracker.add(m):
+        if independent(m):
             basis.append(m)
             frontier.append(m)
     rounds = 0
@@ -222,7 +199,7 @@ def holonomy_algebra(conn: ConnectionTable, report: CurvatureReport) -> list[Mat
         for m in frontier:
             for z in range(n):
                 d = endo_derivative(conn, z, m)
-                if tracker.add(d):
+                if independent(d):
                     basis.append(d)
                     new_frontier.append(d)
         frontier = new_frontier

@@ -3,17 +3,18 @@
 Matrices are immutable and store only their nonzero ``Scalar`` entries, as
 a map from row index to a map from column index to entry, the way
 ``KForm`` stores only its nonzero terms; sums, products and scaling touch
-nonzeros only.  Rank, kernel, determinant and inverse run on a dense view
-through a fraction-free (Bareiss) elimination over Z[sqrt2] after clearing
-denominators row by row, which keeps intermediate entries small on the
-35x49 and 35x36 stabilizer systems.  Signatures of symmetric matrices use
-exact congruence diagonalization.
+nonzeros only.  One elimination engine, ``Echelon``, serves rank, kernel,
+determinant and inverse, and the span tests of the holonomy closure: an
+incremental, sparse, fraction-free (Bareiss) row echelon form over
+Z[sqrt2] that clears denominators row by row, which keeps intermediate
+entries small on the 35x49 and 35x36 stabilizer systems.  Signatures of
+symmetric matrices use exact congruence diagonalization.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm, prod
+from math import lcm
 from typing import Iterable, Mapping, Sequence
 
 from .scalars import ONE, ZERO, Scalar, as_scalar
@@ -225,41 +226,49 @@ class Matrix:
 
     # -- exact solvers -------------------------------------------------------
 
+    def _echelon(self) -> "Echelon":
+        e = Echelon()
+        for i in range(self.rows):
+            e.add(self._r.get(i, _EMPTY))
+        return e
+
     def det(self) -> Scalar:
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        work, scales = _to_integer_rows(self.tolist())
-        d, nr_pivots = _bareiss_det(work)
-        if nr_pivots < self.rows:
+        e = self._echelon()
+        ps = e.pivots
+        if len(ps) < self.rows:
             return ZERO
-        return _from_pair(d) * Scalar(Fraction(1, prod(scales)))
+        # the last pivot is the determinant of the scaled rows with their
+        # columns in pivot order
+        inversions = sum(a > b for k, a in enumerate(ps) for b in ps[k + 1:])
+        return _from_pair(e.rows[-1][ps[-1]]) * Scalar(Fraction((-1) ** inversions, e.scale))
 
     def rank(self) -> int:
-        work, _ = _to_integer_rows(self.tolist())
-        _, pivots, _ = _bareiss_echelon(work)
-        return len(pivots)
+        return len(self._echelon().pivots)
 
     def kernel(self) -> list[list[Scalar]]:
-        """Basis of the right null space {x : self @ x = 0}."""
-        work, _ = _to_integer_rows(self.tolist())
-        echelon, pivots, _ = _bareiss_echelon(work)
+        """Basis of the right null space {x : self @ x = 0}: one vector per
+        non-pivot column c, with 1 at c and 0 at the other non-pivot columns."""
+        e = self._echelon()
         ncols = self.cols
-        pivot_cols = [c for _, c in pivots]
-        free_cols = [c for c in range(ncols) if c not in pivot_cols]
-        # each echelon row, bottom-up: its pivot column, the inverse of the
-        # pivot, and its nonzero entries right of the pivot
-        steps = [(pc, _from_pair(echelon[pr][pc]).inverse(),
-                  [(c, _from_pair(e)) for c, e in enumerate(echelon[pr][pc + 1:], pc + 1)
-                   if e != (0, 0)])
-                 for pr, pc in reversed(pivots)]
+        pivots = set(e.pivots)
+        # each kept row, bottom-up: its pivot column, the inverse of the
+        # pivot, and its other nonzero entries; row k is zero at the pivots
+        # of the rows kept before it, so each step reads solved entries only
+        steps = [(p, _from_pair(r[p]).inverse(),
+                  [(c, _from_pair(x)) for c, x in r.items() if c != p])
+                 for r, p in zip(reversed(e.rows), reversed(e.pivots))]
         basis = []
-        for fc in free_cols:
+        for fc in range(ncols):
+            if fc in pivots:
+                continue
             x: list[Scalar] = [ZERO] * ncols
             x[fc] = ONE
             for pcol, inv, entries in steps:
                 acc = ZERO
-                for c, e in entries:
-                    acc = acc + e * x[c]
+                for c, y in entries:
+                    acc = acc + y * x[c]
                 x[pcol] = -(acc * inv)
             basis.append(x)
         return basis
@@ -270,10 +279,10 @@ class Matrix:
         if self.rows != self.cols:
             raise ValueError("inverse of a non-square matrix")
         n = self.rows
-        eye = Matrix.identity(n).tolist()
+        eye = Matrix.identity(n)
         aug = _of(n, 2 * n, {i: {**self._r.get(i, _EMPTY), n + i: ONE} for i in range(n)})
         basis = aug.kernel()
-        if any(x[n:] != e for x, e in zip(basis, eye)):
+        if any(tuple(x[n:]) != eye.row(i) for i, x in enumerate(basis)):
             raise ZeroDivisionError("matrix is singular")
         return Matrix.from_columns([[-y for y in x[:n]] for x in basis])
 
@@ -305,23 +314,61 @@ def signature(sym: Matrix) -> tuple[int, int, int]:
     return sym.signature()
 
 
-# -- fraction-free core over Z[sqrt2] ----------------------------------------
+# -- the elimination engine: fraction-free over Z[sqrt2] ----------------------
 #
-# Internally rows are lists of (p, q) integer pairs meaning p + q*sqrt2.
-# Bareiss two-step division is exact in this domain.
+# Entries are (p, q) integer pairs meaning p + q*sqrt2.
 
 
-def _to_integer_rows(entries) -> tuple[list[list[tuple[int, int]]], list[int]]:
-    work = []
-    scales = []
-    for row in entries:
+class Echelon:
+    """Incremental, sparse, fraction-free (Bareiss) row echelon form over
+    Z[sqrt2], on rows that map a column to a nonzero entry.
+
+    ``add`` clears a row's denominators and takes it through one Bareiss
+    step per kept row k, pivot column p_k, pivot pi_k = r_k[p_k]:
+    v <- (pi_k * v - v[p_k] * r_k) / pi_{k-1}, with pi_{-1} = 1.  After k
+    steps every entry is a (k+1)-minor of the scaled rows (Sylvester's
+    identity), so each division is exact for any choice of pivot columns.
+    A nonzero remainder is kept, pivoted at its first nonzero column; so
+    kept row k is zero at the pivots of the rows kept before it, and the
+    pivot columns are the leftmost independent columns."""
+
+    __slots__ = ("rows", "pivots", "scale")
+
+    def __init__(self):
+        self.rows: list[dict[int, tuple[int, int]]] = []
+        self.pivots: list[int] = []
+        self.scale = 1  # product of the denominators cleared from kept rows
+
+    def add(self, row: Mapping[int, Scalar]) -> bool:
+        """Reduce ``row`` by the kept rows and keep what is left; False,
+        keeping nothing, when the kept rows span it."""
         denom = 1
-        for x in row:
+        for x in row.values():
             denom = lcm(denom, x.a.denominator, x.b.denominator)
-        work.append([(x.a.numerator * (denom // x.a.denominator),
-                      x.b.numerator * (denom // x.b.denominator)) for x in row])
-        scales.append(denom)
-    return work, scales
+        v = {c: (x.a.numerator * (denom // x.a.denominator),
+                 x.b.numerator * (denom // x.b.denominator))
+             for c, x in row.items() if not x.is_zero()}
+        prev = (1, 0)
+        for r, p in zip(self.rows, self.pivots):
+            if not v:
+                return False
+            piv = r[p]
+            f = v.pop(p, None)
+            w = {c: _pair_mul(piv, x) for c, x in v.items()}
+            if f is not None:
+                for c, y in r.items():
+                    if c != p:
+                        t = _pair_mul(f, y)
+                        s = w.get(c, (0, 0))
+                        w[c] = (s[0] - t[0], s[1] - t[1])
+            v = {c: _pair_div(x, prev) for c, x in w.items() if x[0] or x[1]}
+            prev = piv
+        if not v:
+            return False
+        self.rows.append(v)
+        self.pivots.append(min(v))
+        self.scale *= denom
+        return True
 
 
 def _pair_mul(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
@@ -336,10 +383,13 @@ def _pair_div(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
     # exact division in Z[sqrt2]; Bareiss guarantees divisibility
     a, b = x
     c, d = y
-    n = c * c - 2 * d * d
-    if n == 0:
-        raise ZeroDivisionError("zero divisor in Z[sqrt2]")
-    pa, pb = a * c - 2 * b * d, b * c - a * d
+    if d == 0:
+        if c == 0:
+            raise ZeroDivisionError("zero divisor in Z[sqrt2]")
+        n, pa, pb = c, a, b
+    else:
+        n = c * c - 2 * d * d
+        pa, pb = a * c - 2 * b * d, b * c - a * d
     qa, ra = divmod(pa, n)
     qb, rb = divmod(pb, n)
     if ra or rb:
@@ -349,58 +399,6 @@ def _pair_div(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
 
 def _from_pair(x: tuple[int, int]) -> Scalar:
     return Scalar(x[0], x[1])
-
-
-def _bareiss_echelon(work: list[list[tuple[int, int]]]):
-    """Fraction-free row echelon form.
-
-    Returns (rows, pivots, sign) where pivots is a list of (row, col) in
-    elimination order and sign tracks row swaps.
-    """
-    nr = len(work)
-    nc = len(work[0]) if nr else 0
-    pivots: list[tuple[int, int]] = []
-    sign = 1
-    prev = (1, 0)
-    r = 0
-    for c in range(nc):
-        p = next((i for i in range(r, nr) if work[i][c] != (0, 0)), None)
-        if p is None:
-            continue
-        if p != r:
-            work[r], work[p] = work[p], work[r]
-            sign = -sign
-        piv = work[r][c]
-        for i in range(r + 1, nr):
-            row_i = work[i]
-            fac = row_i[c]
-            if fac == (0, 0):
-                # still renormalize by Bareiss rule to keep division exact
-                for j in range(c + 1, nc):
-                    if row_i[j] != (0, 0):
-                        row_i[j] = _pair_div(_pair_mul(piv, row_i[j]), prev)
-                continue
-            row_r = work[r]
-            for j in range(c + 1, nc):
-                t = _pair_mul(piv, row_i[j])
-                u = _pair_mul(fac, row_r[j])
-                row_i[j] = _pair_div((t[0] - u[0], t[1] - u[1]), prev)
-            row_i[c] = (0, 0)
-        pivots.append((r, c))
-        prev = piv
-        r += 1
-        if r == nr:
-            break
-    return work, pivots, sign
-
-
-def _bareiss_det(work: list[list[tuple[int, int]]]) -> tuple[tuple[int, int], int]:
-    rows, pivots, sign = _bareiss_echelon(work)
-    if not pivots:
-        return (0, 0), 0
-    pr, pc = pivots[-1]
-    last = rows[pr][pc]
-    return ((sign * last[0], sign * last[1]), len(pivots))
 
 
 def _congruence_signature(a: list[list[Scalar]]) -> tuple[int, int, int]:

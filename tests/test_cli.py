@@ -2,7 +2,9 @@ import json
 
 import pytest
 
-from g2aa.cli import EXIT_DOMAIN, EXIT_OK, _example_a_algebra, main
+from g2aa import cli
+from g2aa.classify import NilpotentReport, nilpotent_parallel_report
+from g2aa.cli import EXIT_DOMAIN, EXIT_MISMATCH, EXIT_OK, _example_a_algebra, main
 from g2aa.exterior import KForm
 from g2aa.g2 import phi_model, witt_phi
 
@@ -67,6 +69,13 @@ def test_rejects_inputs_outside_the_domain(tmp_path, capsys):
     zero = write_algebra(tmp_path, AlmostAbelianAlgebra(7, Matrix.zero(6)), "zero.json")
     assert main(["decide", "--input", zero, "--mode", "g2", "--eigen", "1,x"]) == EXIT_DOMAIN
     assert "malformed scalar '1/0'" in capsys.readouterr().err
+    # a tolerance that is not positive, and a parallel decision in the
+    # degenerate mode
+    assert main(["certify", "--form", "phi_plus", "--tol", "0"]) == EXIT_DOMAIN
+    assert "tolerance must be positive" in capsys.readouterr().err
+    assert main(["decide", "--input", zero, "--kind", "parallel",
+                 "--mode", "g2star_deg"]) == EXIT_DOMAIN
+    assert "non-degenerate modes only" in capsys.readouterr().err
 
 
 def test_report_example_a(tmp_path, capsys):
@@ -121,3 +130,20 @@ def test_reproduce_sweep_small(capsys):
     assert main(["reproduce", "sweep", "--sweep-limit", "25"]) == EXIT_OK
     out = capsys.readouterr().out
     assert "PASS sweep" in out
+
+
+def test_reproduce_sweep_samples_every_delta_and_names_a_mismatch(monkeypatch, capsys):
+    # a pipeline that is wrong at delta = +1 only: the sample must reach
+    # those points, fail, and name the first failing parameter set
+    def pipeline(p):
+        closed = nilpotent_parallel_report(p)
+        if p.delta != 1:
+            return closed
+        return NilpotentReport(closed.algebra_name, closed.hol_dim + 1,
+                               closed.locally_symmetric, closed.flat)
+
+    monkeypatch.setattr(cli, "pipeline_report", pipeline)
+    assert main(["reproduce", "sweep", "--sweep-limit", "25"]) == EXIT_MISMATCH
+    captured = capsys.readouterr()
+    assert "FAIL sweep" in captured.out
+    assert 'first mismatch at {"delta": 1,' in captured.err

@@ -4,10 +4,10 @@ from fractions import Fraction
 import pytest
 
 from g2aa.g2 import phi_model, _action_matrix
-from g2aa.linalg import Matrix, kernel, rank, signature
+from g2aa.linalg import Echelon, Matrix, kernel, rank, signature
 from g2aa.scalars import ONE, ZERO, Scalar
 
-from conftest import plain_gauss_rank, random_matrix, random_unimodular
+from conftest import plain_gauss_rank, random_matrix, random_scalar, random_unimodular
 
 
 def test_kernel_identity_and_zero():
@@ -163,3 +163,88 @@ def test_sparse_storage_with_dense_views():
                  Matrix([[1, 1]]) @ Matrix([[1], [-1]]), a.commutator(a)):
         assert list(zero.items()) == [] and zero.is_zero()
     assert a - a == Matrix.zero(2) and hash(a - a) == hash(Matrix.zero(2))
+
+
+def _sparse_random(rng, rows, cols, density=0.6):
+    return Matrix([[random_scalar(rng) if rng.random() < density else ZERO
+                    for _ in range(cols)] for _ in range(rows)])
+
+
+def _oracle_cases(rng):
+    """Square, wide, tall and rank-deficient matrices over Q(sqrt2) with
+    fractional entries."""
+    for _ in range(12):
+        n = rng.randint(1, 5)
+        yield _sparse_random(rng, n, n)
+        yield _sparse_random(rng, rng.randint(1, 4), rng.randint(5, 7))
+        yield _sparse_random(rng, rng.randint(5, 7), rng.randint(1, 4))
+        k, r, c = rng.randint(1, 3), rng.randint(3, 6), rng.randint(3, 6)
+        yield _sparse_random(rng, r, k, 0.8) @ _sparse_random(rng, k, c, 0.8)
+        yield _sparse_random(rng, r, k, 0.8) @ _sparse_random(rng, k, r, 0.8)
+
+
+def test_solvers_against_sympy():
+    # independent oracle: sympy's DomainMatrix over QQ<sqrt(2)>
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    field = sympy.QQ.algebraic_field(sympy.sqrt(2))
+
+    def elem(x: Scalar):
+        # coefficients of the generator sqrt(2), highest power first
+        return field.new([sympy.QQ(x.b.numerator, x.b.denominator),
+                          sympy.QQ(x.a.numerator, x.a.denominator)])
+
+    assert field.to_sympy(elem(Scalar(Fraction(1, 2), Fraction(-3, 5)))) == (
+        sympy.Rational(1, 2) - sympy.Rational(3, 5) * sympy.sqrt(2))
+
+    def dm(rows):
+        return DomainMatrix([[elem(x) for x in r] for r in rows],
+                            (len(rows), len(rows[0])), field)
+
+    rng = random.Random(17)
+    deficient = 0
+    for m in _oracle_cases(rng):
+        ref = dm(m.tolist())
+        assert m.rank() == ref.rank()
+        deficient += m.rank() < min(m.shape)
+        if m.rows == m.cols:
+            assert elem(m.det()) == ref.det()
+        vecs = m.kernel()
+        ref_null = ref.nullspace().to_list()
+        assert len(vecs) == len(ref_null) == m.cols - ref.rank()
+        # the same basis: one vector per non-pivot column of the reduced
+        # echelon form, 1 there and 0 at the other non-pivot columns (sympy
+        # leaves its vectors unnormalized)
+        free = [c for c in range(m.cols) if c not in ref.rref()[1]]
+        for x, y, c in zip(vecs, ref_null, free):
+            assert [elem(t) for t in x] == [field.quo(t, y[c]) for t in y]
+    assert deficient >= 20
+
+
+def test_echelon_incremental_rank_and_dependence():
+    rng = random.Random(18)
+    for _ in range(30):
+        cols = rng.randint(2, 7)
+        rows = [list(_sparse_random(rng, 1, cols).row(0)) for _ in range(rng.randint(1, 6))]
+        # interleave rows that depend on the ones before them
+        for _ in range(2):
+            k = rng.randint(1, len(rows))
+            c = [random_scalar(rng) for _ in range(k)]
+            rows.insert(k, [sum((a * r[j] for a, r in zip(c, rows[:k])), ZERO)
+                            for j in range(cols)])
+        e = Echelon()
+        for k, row in enumerate(rows, 1):
+            before = len(e.pivots)
+            kept = e.add(dict(enumerate(row)))
+            assert len(e.pivots) == plain_gauss_rank(Matrix(rows[:k]))
+            assert kept == (len(e.pivots) > before)
+        # a sqrt2- and fraction-weighted combination of the rows is dependent
+        weights = [Scalar(Fraction(rng.randint(1, 5), rng.randint(2, 7)),
+                          Fraction(rng.choice([-1, 1]) * rng.randint(1, 5), rng.randint(2, 7)))
+                   for _ in rows]
+        combo = {j: sum((w * r[j] for w, r in zip(weights, rows)), ZERO) for j in range(cols)}
+        rank = len(e.pivots)
+        assert e.add(combo) is False
+        assert len(e.pivots) == rank
+        assert e.add({}) is False
