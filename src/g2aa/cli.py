@@ -24,7 +24,6 @@ from .g2 import (
     MODEL_TENSORS,
     NotG2Error,
     certify_g2,
-    stabilizer_dimension,
     witt_frame_from_adapted,
     witt_phi,
     witt_star_phi,
@@ -109,7 +108,7 @@ def cmd_certify(args) -> int:
         else:
             print(f"NotG2: {exc}")
         return EXIT_DOMAIN
-    stab = stabilizer_dimension(phi)
+    stab = 14  # certify_g2 refuses any other stabilizer dimension
     kind = "G2" if s.eps == -1 else "G2*"
     if args.format == "json":
         out = {

@@ -13,6 +13,7 @@ subspace inherits is the pullback along the matrix of its basis vectors.
 from __future__ import annotations
 
 import json
+from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
 from .linalg import Matrix
@@ -303,10 +304,16 @@ def hodge_star(a: KForm, metric: Matrix, orientation_vol: KForm) -> KForm:
     except ZeroDivisionError as exc:
         raise DegenerateMetricError("metric is degenerate") from exc
     v0 = orientation_vol.coefficient(*range(1, n + 1))
-    full = range(1, n + 1)
     acc: dict[tuple[int, ...], Scalar] = {}
     for idx, val in pullback(ginv, a).items():
-        comp = tuple(x for x in full if x not in idx)
-        _, sg = sort_indices(idx + comp)
+        comp, sg = _complement(idx, n)
         acc[comp] = v0 * val if sg > 0 else -(v0 * val)
     return KForm(n, n - a.degree, acc)
+
+
+@lru_cache(maxsize=1024)
+def _complement(idx: tuple[int, ...], n: int) -> tuple[tuple[int, ...], int]:
+    """The complement I^c of an index tuple I in 1..n and the sign of the
+    permutation (I, I^c): e^I ^ e^{I^c} = sign * e^{1...n}."""
+    comp = tuple(x for x in range(1, n + 1) if x not in idx)
+    return comp, sort_indices(idx + comp)[1]

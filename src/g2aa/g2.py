@@ -15,7 +15,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 
-from .exterior import KForm, gl_action, hodge_star, interior, pullback, wedge
+from .exterior import KForm, _complement, gl_action, hodge_star, interior, pullback, wedge
 from .linalg import Matrix
 from .scalars import HALF, HALF_SQRT2, ONE, ZERO, Scalar
 
@@ -94,25 +94,23 @@ MODEL_TENSORS = {
 
 def _action_matrix(forms: list[KForm]) -> Matrix:
     """Matrix of A |-> (A.form_1, ..., A.form_r) on gl(n), columns indexed by
-    the n^2 entries of A in row-major order."""
+    the n^2 entries of A in row-major order: one row per index tuple in the
+    support of the action on a form, forms in turn, supports sorted."""
     n = forms[0].dim
-    actions: list[list[list[KForm]]] = []
-    for i in range(n):
-        row_actions = []
-        for j in range(n):
-            basis_endo = Matrix.sparse(n, n, {(i, j): ONE})
-            row_actions.append([gl_action(basis_endo, f) for f in forms])
-        actions.append(row_actions)
-    rows: list[list[Scalar]] = []
-    for fi in range(len(forms)):
-        support = sorted({idx for i in range(n) for j in range(n)
-                          for idx in actions[i][j][fi].support()})
-        for idx in support:
-            rows.append([actions[i][j][fi].coefficient(*idx)
-                         for i in range(n) for j in range(n)])
-    if not rows:
-        rows = [[ZERO] * (n * n)]
-    return Matrix(rows)
+    entries = {}
+    top = 0
+    for f in forms:
+        rows: dict[tuple[int, ...], dict[int, Scalar]] = {}
+        for i in range(n):
+            for j in range(n):
+                acted = gl_action(Matrix.sparse(n, n, {(i, j): ONE}), f)
+                for idx, x in acted.items():
+                    rows.setdefault(idx, {})[i * n + j] = x
+        for k, idx in enumerate(sorted(rows), start=top):
+            entries.update(((k, col), x) for col, x in rows[idx].items())
+        top += len(rows)
+    # a form that all of gl(n) annihilates still gives one (zero) row
+    return Matrix.sparse(max(top, 1), n * n, entries)
 
 
 def _kernel_to_endos(vectors: list[list[Scalar]], n: int) -> list[Matrix]:
@@ -186,21 +184,28 @@ WITT_GRAM = Matrix([
 
 
 def bilinear_volume_form(phi: KForm) -> Matrix:
-    """Coefficient matrix of B(v,w) = (1/6)(v -| phi)^(w -| phi)^phi."""
+    """Coefficient matrix of B(v,w) = (1/6)(v -| phi)^(w -| phi)^phi.
+
+    With h_j = e_j -| phi, B_ij is (1/6) the top coefficient of
+    h_i ^ (h_j ^ phi), which reads only the coefficients of the five-form
+    h_j ^ phi complementary to the terms of h_i:
+    B_ij = (1/6) sum_I h_i[I] (h_j ^ phi)[I^c] sign(I, I^c)."""
     n = phi.dim
-    top = tuple(range(1, n + 1))
-    hooks = []
-    for i in range(n):
-        v = [ONE if k == i else ZERO for k in range(n)]
-        hooks.append(interior(v, phi))
+    hooks = [interior([ONE if k == i else ZERO for k in range(n)], phi) for i in range(n)]
+    fives = [dict(wedge(h, phi).items()) for h in hooks]
     sixth = Scalar(Fraction(1, 6))
-    rows = [[ZERO] * n for _ in range(n)]
+    entries = {}
     for i in range(n):
+        terms = [(_complement(idx, n), c) for idx, c in hooks[i].items()]
         for j in range(i, n):
-            w = wedge(wedge(hooks[i], hooks[j]), phi)
-            c = sixth * w.coefficient(*top)
-            rows[i][j] = rows[j][i] = c
-    return Matrix(rows)
+            five = fives[j]
+            acc = ZERO
+            for (comp, sg), c in terms:
+                y = five.get(comp)
+                if y is not None:
+                    acc = acc + c * y if sg > 0 else acc - c * y
+            entries[(i, j)] = entries[(j, i)] = sixth * acc
+    return Matrix.sparse(n, n, entries)
 
 
 def _integer_ninth_root(m: int) -> int | None:

@@ -177,33 +177,31 @@ HOLONOMY_ITERATION_CAP = 49
 
 def holonomy_algebra(conn: ConnectionTable, report: CurvatureReport) -> list[Matrix]:
     """Infinitesimal holonomy: the span of all curvature endomorphisms,
-    closed under covariant differentiation along every basis direction."""
+    closed under covariant differentiation along every basis direction.
+
+    The connection is metric, so every R(f_i, f_j) and every [nabla_z, .]
+    of a g-skew endomorphism is g-skew: the span lies in so(g), and the
+    closure stops once it holds dim so(g) = n(n-1)/2 independent elements."""
     n = conn.algebra.n
+    full = n * (n - 1) // 2
     echelon = Echelon()
-
-    def independent(m: Matrix) -> bool:
-        return echelon.add({i * n + j: x for (i, j), x in m.items()})
-
     basis: list[Matrix] = []
-    frontier: list[Matrix] = []
-    for m in report.r.values():
-        if independent(m):
-            basis.append(m)
-            frontier.append(m)
+    candidates = report.r.values()
     rounds = 0
-    while frontier:
+    while True:
+        frontier = []
+        for m in candidates:
+            if echelon.add({i * n + j: x for (i, j), x in m.items()}):
+                basis.append(m)
+                if len(basis) == full:
+                    return basis
+                frontier.append(m)
+        if not frontier:
+            return basis
         rounds += 1
         if rounds > HOLONOMY_ITERATION_CAP:
             raise RuntimeError("holonomy iteration failed to stabilize")
-        new_frontier = []
-        for m in frontier:
-            for z in range(n):
-                d = endo_derivative(conn, z, m)
-                if independent(d):
-                    basis.append(d)
-                    new_frontier.append(d)
-        frontier = new_frontier
-    return basis
+        candidates = (endo_derivative(conn, z, m) for m in frontier for z in range(n))
 
 
 def annihilates(phi: KForm, endos: list[Matrix]) -> bool:

@@ -14,7 +14,7 @@ symmetric matrices use exact congruence diagonalization.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
 from .scalars import ONE, ZERO, Scalar, as_scalar
@@ -249,28 +249,49 @@ class Matrix:
 
     def kernel(self) -> list[list[Scalar]]:
         """Basis of the right null space {x : self @ x = 0}: one vector per
-        non-pivot column c, with 1 at c and 0 at the other non-pivot columns."""
+        non-pivot column c, with 1 at c and 0 at the other non-pivot columns.
+
+        Back-substitution runs over the kept rows, bottom-up, in Z[sqrt2]
+        integer pairs: a vector is held as numerator pairs over one common
+        integer denominator, a pivot is divided out through its conjugate
+        and norm, and each vector becomes ``Scalar``s once, at the end.
+        Row k is zero at the pivots of the rows kept before it, so each
+        step reads solved entries only."""
         e = self._echelon()
         ncols = self.cols
         pivots = set(e.pivots)
-        # each kept row, bottom-up: its pivot column, the inverse of the
-        # pivot, and its other nonzero entries; row k is zero at the pivots
-        # of the rows kept before it, so each step reads solved entries only
-        steps = [(p, _from_pair(r[p]).inverse(),
-                  [(c, _from_pair(x)) for c, x in r.items() if c != p])
-                 for r, p in zip(reversed(e.rows), reversed(e.pivots))]
+        steps = []
+        for r, p in zip(reversed(e.rows), reversed(e.pivots)):
+            a, b = r[p]
+            # x[p] = -(sum of the other entries times x) * conj / norm
+            conj, norm = ((1, 0), a) if b == 0 else ((a, -b), a * a - 2 * b * b)
+            steps.append((p, conj, norm, [(c, x) for c, x in r.items() if c != p]))
         basis = []
         for fc in range(ncols):
             if fc in pivots:
                 continue
-            x: list[Scalar] = [ZERO] * ncols
-            x[fc] = ONE
-            for pcol, inv, entries in steps:
-                acc = ZERO
-                for c, y in entries:
-                    acc = acc + y * x[c]
-                x[pcol] = -(acc * inv)
-            basis.append(x)
+            x = {fc: (1, 0)}
+            den = 1
+            for pcol, conj, norm, entries in steps:
+                sa = sb = 0
+                for c, (ya, yb) in entries:
+                    v = x.get(c)
+                    if v is not None:
+                        sa += ya * v[0] + 2 * yb * v[1]
+                        sb += ya * v[1] + yb * v[0]
+                if not (sa or sb):
+                    continue
+                sa, sb = _pair_mul((sa, sb), conj)
+                g = gcd(sa, sb, norm)
+                sa, sb, d = sa // g, sb // g, norm // g
+                if d != 1:
+                    x = {c: (v[0] * d, v[1] * d) for c, v in x.items()}
+                    den *= d
+                x[pcol] = (-sa, -sb)
+            vec = [ZERO] * ncols
+            for c, (va, vb) in x.items():
+                vec[c] = Scalar(Fraction(va, den), Fraction(vb, den))
+            basis.append(vec)
         return basis
 
     def inverse(self) -> "Matrix":

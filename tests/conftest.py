@@ -9,9 +9,10 @@ from itertools import combinations
 
 import pytest
 
-from g2aa.exterior import KForm, wedge
+from g2aa.exterior import KForm, interior, wedge
+from g2aa.geometry import endo_derivative
 from g2aa.liealg import AlmostAbelianAlgebra
-from g2aa.linalg import Matrix
+from g2aa.linalg import Echelon, Matrix
 from g2aa.scalars import ONE, ZERO, Scalar
 
 
@@ -201,3 +202,39 @@ def oracle_nabla_r(conn) -> dict:
                                       (-ONE, r_of(col[x], unit(y))),
                                       (-ONE, r_of(unit(x), col[y]))])
     return out
+
+
+def oracle_holonomy(conn, report) -> list:
+    """The holonomy closure from its definition, with no early stop: the
+    curvature endomorphisms, then the covariant derivatives of every newly
+    independent element along every basis direction, round after round
+    until a round adds nothing, keeping the first independent elements."""
+    n = conn.algebra.n
+    echelon = Echelon()
+
+    def independent(m: Matrix) -> bool:
+        return echelon.add({i * n + j: x for (i, j), x in m.items()})
+
+    basis = [m for m in report.r.values() if independent(m)]
+    frontier = list(basis)
+    while frontier:
+        new_frontier = []
+        for m in frontier:
+            for z in range(n):
+                d = endo_derivative(conn, z, m)
+                if independent(d):
+                    basis.append(d)
+                    new_frontier.append(d)
+        frontier = new_frontier
+    return basis
+
+
+def oracle_bilinear_form(phi: KForm) -> Matrix:
+    """B(v, w) = (1/6)(v -| phi)^(w -| phi)^phi as the top coefficient of
+    the full wedge of wedges, entry by entry."""
+    n = phi.dim
+    top = tuple(range(1, n + 1))
+    hooks = [interior([ONE if k == i else ZERO for k in range(n)], phi) for i in range(n)]
+    sixth = Scalar(Fraction(1, 6))
+    return Matrix([[sixth * wedge(wedge(hooks[i], hooks[j]), phi).coefficient(*top)
+                    for j in range(n)] for i in range(n)])

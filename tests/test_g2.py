@@ -31,7 +31,7 @@ from g2aa.g2 import (
 from g2aa.linalg import Matrix
 from g2aa.scalars import ONE, SQRT2, Scalar
 
-from conftest import random_unimodular
+from conftest import oracle_bilinear_form, random_form, random_matrix, random_unimodular
 
 
 # -- stabilizers -----------------------------------------------------------------
@@ -182,6 +182,31 @@ def test_bilinear_form_matches_metric_times_volume():
         b = bilinear_volume_form(phi_model(eps))
         c = s.vol.coefficient(1, 2, 3, 4, 5, 6, 7)
         assert b == s.metric.scale(c)
+
+
+def test_bilinear_form_against_wedge_of_wedges():
+    rng = random.Random(61)
+    dense = [pullback(random_matrix(rng, 7, sqrt2=True), phi_model(eps))
+             for eps in (-1, 1) for _ in range(2)]
+    degenerate = [random_form(rng, 7, 3, terms=t, sqrt2=True) for t in (2, 4, 6)]
+    for phi in dense + degenerate + [rho_null_model()]:
+        assert bilinear_volume_form(phi) == oracle_bilinear_form(phi)
+    assert all(len(list(phi.items())) == 35 for phi in dense)
+    assert all(not bilinear_volume_form(phi).det().is_zero() for phi in dense)
+    assert all(bilinear_volume_form(phi).det().is_zero() for phi in degenerate)
+
+
+def test_bilinear_form_equivariance():
+    # b_{A^* phi}(v, w) = det(A) b_phi(Av, Aw)
+    rng = random.Random(62)
+    forms = [pullback(random_matrix(rng, 7, sqrt2=True), phi_model(eps)) for eps in (-1, 1)]
+    forms.append(random_form(rng, 7, 3, terms=5, sqrt2=True))
+    for phi in forms:
+        b = bilinear_volume_form(phi)
+        for scale in (ONE, Scalar(1, 1)):
+            a = random_unimodular(rng, 7).scale(scale)
+            expected = (a.transpose() @ b @ a).scale(a.det())
+            assert bilinear_volume_form(pullback(a, phi)) == expected
 
 
 def test_ninth_root():

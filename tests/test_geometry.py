@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from g2aa.exterior import DegenerateMetricError, KForm, gl_action
-from g2aa.g2 import certify_g2, witt_phi
+from g2aa.g2 import adapted_metric, certify_g2, witt_phi
 from g2aa.geometry import (
     analyze,
     annihilates,
@@ -21,7 +21,7 @@ from g2aa.liealg import AlmostAbelianAlgebra, differential
 from g2aa.linalg import Matrix
 from g2aa.scalars import ONE, ZERO, Scalar
 
-from conftest import oracle_nabla_r, random_matrix, random_unimodular
+from conftest import oracle_holonomy, oracle_nabla_r, random_matrix, random_unimodular
 
 
 def example_a_algebra():
@@ -287,3 +287,45 @@ def test_nabla_r_both_notions_and_annihilates():
     key = (6, 4, 6)
     assert data.endo_derivatives[key] == rep.r[(1, 6)].scale(Scalar(Fraction(3, 2)))
     assert annihilates(witt_phi(), []) is True
+
+
+# Two pairs (eps, ad0) whose holonomy, with the adapted metric of phi_eps,
+# is all of so(g): dimension 21, where the closure stops early.
+HOLONOMY_21_BASES = (
+    (-1, ((0, 0, 0, 0, -1, 0), (0, 0, 1, 0, 0, 0), (0, 0, 0, 0, 0, 0),
+          (0, 0, 0, 0, 0, 1), (0, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 0))),
+    (1, ((0, -1, 0, 0, 0, 1), (0, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 0),
+         (0, 0, 0, 0, 1, 0), (0, 0, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0))),
+)
+
+
+def _holonomy_21_pairs():
+    """Each base pair moved by a dense unimodular frame A = [[A_u, c], [0, 1]]:
+    ad = A_u^-1 ad0 A_u and g = A^T g_eps A, an isometric copy of the base."""
+    rng = random.Random(55)
+    out = []
+    for eps, ad0 in HOLONOMY_21_BASES:
+        a_u = random_unimodular(rng, 6, shears=12)
+        c = [rng.randint(-2, 2) for _ in range(6)]
+        a = Matrix([list(a_u.row(i)) + [c[i]] for i in range(6)] + [[0] * 6 + [1]])
+        alg = AlmostAbelianAlgebra(7, a_u.inverse() @ Matrix(ad0) @ a_u)
+        out.append((alg, a.transpose() @ adapted_metric(eps) @ a))
+    return out
+
+
+def test_holonomy_matches_reference_closure_and_is_g_skew(nabla_r_cases):
+    s = witt_structure()
+    pairs = [(example_a_algebra(), s.metric), (example_b_algebra(), s.metric)]
+    cases = [(conn, rep) for conn, rep, _ in nabla_r_cases]
+    for alg, g in pairs + _holonomy_21_pairs():
+        conn = levi_civita(alg, g)
+        cases.append((conn, curvature(conn)))
+    dims = []
+    for conn, rep in cases:
+        basis = holonomy_algebra(conn, rep)
+        assert basis == oracle_holonomy(conn, rep)
+        for h in basis:
+            gh = conn.metric @ h
+            assert gh.transpose() == -gh
+        dims.append(len(basis))
+    assert dims[-4:] == [3, 5, 21, 21]
