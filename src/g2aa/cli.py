@@ -35,7 +35,9 @@ from .liealg import AlmostAbelianAlgebra, differential
 from .linalg import Matrix
 from .classify import (
     Decision,
+    calibrated_decision,
     nilpotent_parallel_report,
+    parallel_nondeg_decision,
     pipeline_report,
     sweep_sample,
     table1_diff,
@@ -81,16 +83,6 @@ def _parsed(parse, value):
         raise DomainError(str(exc)) from exc
 
 
-def _signature_text(s) -> str:
-    if s.metric is not None:
-        p, q, z = s.metric.signature()
-    else:
-        p, q, z = (7, 0, 0) if s.eps == -1 else (3, 4, 0)
-    if q == 0:
-        return "definite"
-    return f"({p},{q})"
-
-
 def cmd_certify(args) -> int:
     if args.tol <= 0:
         print("error: tolerance must be positive", file=sys.stderr)
@@ -108,15 +100,18 @@ def cmd_certify(args) -> int:
         else:
             print(f"NotG2: {exc}")
         return EXIT_DOMAIN
-    stab = 14  # certify_g2 refuses any other stabilizer dimension
-    kind = "G2" if s.eps == -1 else "G2*"
+    # a certified form has a non-degenerate B, hence stabilizer g2 or g2*
+    # (Hitchin; Bryant), as the test_stability_criterion_* tests in
+    # tests/test_g2.py pin
+    stab = 14
+    # certify_g2 fixes the signature of the metric by eps
+    kind, sig = ("G2", [7, 0, 0]) if s.eps == -1 else ("G2*", [3, 4, 0])
     if args.format == "json":
         out = {
             "certified": True,
             "eps": s.eps,
             "kind": kind,
-            "signature": list(s.metric.signature()) if s.metric is not None
-            else [7, 0, 0] if s.eps == -1 else [3, 4, 0],
+            "signature": sig,
             "frame": s.frame_kind,
             "stabilizer_dim": stab,
             "exact_metric": s.is_exact,
@@ -129,7 +124,8 @@ def cmd_certify(args) -> int:
             out["tolerance"] = args.tol
         print(json.dumps(out))
     else:
-        print(f"{kind}, {_signature_text(s)}, {s.frame_kind}, stab dim {stab}")
+        sig_text = "definite" if s.eps == -1 else "(3,4)"
+        print(f"{kind}, {sig_text}, {s.frame_kind}, stab dim {stab}")
         if not s.is_exact:
             print(f"metric: float fallback (relation verified to {args.tol:g})")
     return EXIT_OK
@@ -197,8 +193,6 @@ def cmd_decide(args) -> int:
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    from .classify import calibrated_decision, parallel_nondeg_decision
-
     if args.kind == "calibrated":
         got = calibrated_decision(algebra, args.mode, eigen_data=eigen)
     else:
@@ -415,9 +409,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()  # parse_args does not mutate it
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except BrokenPipeError:  # pragma: no cover

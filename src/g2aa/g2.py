@@ -1,11 +1,15 @@
 """Model tensors, certification of G2 and split-G2 three-forms, stabilizer
 algebras, Witt frames, and model types of hyperplane restrictions.
 
-A three-form phi on R^7 with 14-dimensional stabilizer induces an exact
-bilinear form B(v,w) = (1/6) (v -| phi) ^ (w -| phi) ^ phi with values in
-top forms.  Writing B = c * g with c the real ninth root of det(B), the
-metric g has signature (7,0) (compact case, eps = -1) or (3,4) (split
-case, eps = +1), and the metric volume is c * e^{1...7}.
+A three-form phi on R^7 induces the bilinear form
+B(v,w) = (1/6) (v -| phi) ^ (w -| phi) ^ phi with values in top forms.
+phi lies in one of the two open GL(7, R) orbits, with stabilizer g2 or
+g2* of dimension 14, exactly when B is non-degenerate (Hitchin, "The
+geometry of three-forms in six and seven dimensions", math/0010054;
+Bryant, "Some remarks on G2-structures", math/0305124), so det B != 0 is
+the certification test.  Writing B = c * g with c the real ninth root of
+det(B), the metric g has signature (7,0) (compact case, eps = -1) or
+(3,4) (split case, eps = +1), and the metric volume is c * e^{1...7}.
 """
 
 from __future__ import annotations
@@ -129,10 +133,6 @@ def joint_stabilizer_algebra(a: KForm, b: KForm) -> list[Matrix]:
         raise ValueError("forms must share the ambient dimension")
     action = _action_matrix([a, b])
     return _kernel_to_endos(action.kernel(), a.dim)
-
-
-def stabilizer_dimension(a: KForm) -> int:
-    return a.dim * a.dim - _action_matrix([a]).rank()
 
 
 # -- certification ----------------------------------------------------------------
@@ -279,16 +279,19 @@ def _certify_cached(phi: KForm, tol: float) -> G2EpsStructure:
     det_b = b.det()
     if det_b.is_zero():
         raise NotG2Error("induced bilinear form is degenerate")
-    if stabilizer_dimension(phi) != 14:
-        raise NotG2Error("stabilizer algebra does not have dimension 14")
+    # B = c g with c^9 = det B, so c has the sign of det B and g has the
+    # signature of B, swapped when det B < 0
+    p, q, z = b.signature()
+    sig = (p, q, z) if det_b.sign() > 0 else (q, p, z)
+    if sig not in ((7, 0, 0), (3, 4, 0)):
+        raise NotG2Error(f"induced metric has signature {sig}, not (7,0) or (3,4)")
+    eps = -1 if sig == (7, 0, 0) else 1
     c = ninth_root(det_b)
     if c is not None:
         metric = b.scale(c.inverse())
-        sig = metric.signature()
-        eps = _eps_from_signature(sig)
         vol = KForm(7, 7, {tuple(range(1, 8)): c})
         return G2EpsStructure(phi, eps, metric, vol, _detect_frame_kind(metric, eps))
-    # float fallback: exact signature from B and the sign of det B
+    # float fallback: the ninth root leaves Q(sqrt2)
     try:
         det_f = float(det_b)
         bf = b.to_float()
@@ -299,15 +302,18 @@ def _certify_cached(phi: KForm, tol: float) -> G2EpsStructure:
     rel = abs(c_f**9 - det_f) / max(abs(det_f), 1e-300)
     if rel > tol:
         raise NotG2Error("float fallback failed the defining-relation tolerance")
-    sig_b = b.signature()
-    sig = sig_b if c_f > 0 else (sig_b[1], sig_b[0], sig_b[2])
-    eps = _eps_from_signature(sig)
     return G2EpsStructure(phi, eps, None, None, "generic",
                           metric_float=metric_f, vol_float=c_f)
 
 
 def certify_g2(phi: KForm, tol: float = FLOAT_TOL) -> G2EpsStructure:
     """Certify a three-form as a G2^eps structure; raises NotG2Error.
+
+    The test is the stability criterion: phi is a G2^eps structure exactly
+    when its bilinear form B is non-degenerate (Hitchin; Bryant), and eps
+    is read off the signature of B, swapped when det B < 0.
+    ``tests/test_g2.py`` pins the criterion against the dimension of the
+    stabilizer algebra.
 
     ``tol`` bounds the relative error of the float fallback's ninth-root
     relation; the exact path ignores it.
@@ -319,14 +325,6 @@ def certify_g2(phi: KForm, tol: float = FLOAT_TOL) -> G2EpsStructure:
 
 def _float_ninth_root(x: float) -> float:
     return (abs(x) ** (1 / 9.0)) * (1 if x >= 0 else -1)
-
-
-def _eps_from_signature(sig: tuple[int, int, int]) -> int:
-    if sig == (7, 0, 0):
-        return -1
-    if sig == (3, 4, 0):
-        return 1
-    raise NotG2Error(f"induced metric has signature {sig}, not (7,0) or (3,4)")
 
 
 # -- Witt frame -------------------------------------------------------------------

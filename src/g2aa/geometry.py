@@ -172,22 +172,20 @@ def is_locally_symmetric(conn: ConnectionTable, report: CurvatureReport) -> bool
     return all(m.is_zero() for _, m in _nabla_r(conn, report, triples))
 
 
-HOLONOMY_ITERATION_CAP = 49
-
-
 def holonomy_algebra(conn: ConnectionTable, report: CurvatureReport) -> list[Matrix]:
     """Infinitesimal holonomy: the span of all curvature endomorphisms,
     closed under covariant differentiation along every basis direction.
 
     The connection is metric, so every R(f_i, f_j) and every [nabla_z, .]
     of a g-skew endomorphism is g-skew: the span lies in so(g), and the
-    closure stops once it holds dim so(g) = n(n-1)/2 independent elements."""
+    closure stops once it holds dim so(g) = n(n-1)/2 independent elements.
+    Every round but the last adds at least one independent element, so the
+    loop ends within n(n-1)/2 + 1 rounds."""
     n = conn.algebra.n
     full = n * (n - 1) // 2
     echelon = Echelon()
     basis: list[Matrix] = []
     candidates = report.r.values()
-    rounds = 0
     while True:
         frontier = []
         for m in candidates:
@@ -198,9 +196,6 @@ def holonomy_algebra(conn: ConnectionTable, report: CurvatureReport) -> list[Mat
                 frontier.append(m)
         if not frontier:
             return basis
-        rounds += 1
-        if rounds > HOLONOMY_ITERATION_CAP:
-            raise RuntimeError("holonomy iteration failed to stabilize")
         candidates = (endo_derivative(conn, z, m) for m in frontier for z in range(n))
 
 

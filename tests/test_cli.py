@@ -27,6 +27,26 @@ def test_certify_model_by_name(capsys):
     assert "G2" in out and "definite" in out and "stab dim 14" in out
 
 
+def test_certify_split_model_prints_its_signature(capsys):
+    assert main(["certify", "--form", "phi_plus"]) == EXIT_OK
+    assert capsys.readouterr().out == "G2*, (3,4), adapted, stab dim 14\n"
+
+
+def test_certify_float_fallback(tmp_path, capsys):
+    # 2 phi_minus needs the ninth root of 2^21, which leaves Q(sqrt2)
+    path = write_form(tmp_path, phi_model(-1).scale(2))
+    assert main(["certify", "--form", path, "--format", "json"]) == EXIT_OK
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["exact_metric"] is False
+    assert payload["signature"] == [7, 0, 0]
+    assert payload["stabilizer_dim"] == 14
+    assert "metric" not in payload and len(payload["metric_float"]) == 7
+    assert main(["certify", "--form", path]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == ["G2, definite, generic, stab dim 14",
+                     "metric: float fallback (relation verified to 1e-09)"]
+
+
 def test_certify_witt_form_file(tmp_path, capsys):
     path = write_form(tmp_path, witt_phi())
     assert main(["certify", "--form", path, "--format", "json"]) == EXIT_OK

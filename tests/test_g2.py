@@ -3,8 +3,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
-from g2aa.exterior import KForm, gl_action, pullback
+from g2aa.exterior import KForm, gl_action, pullback, wedge
 from g2aa.g2 import (
     WITT_GRAM,
     HyperplaneType,
@@ -102,6 +103,93 @@ def test_stabilizer_annihilates_hodge_dual_too():
             assert gl_action(a, star).is_zero()
 
 
+# -- the stability criterion -----------------------------------------------------
+#
+# A three-form on R^7 has a 14-dimensional stabilizer (g2 or g2*) exactly
+# when its bilinear form B is non-degenerate, and then the signature of B,
+# swapped when det B < 0, is (7,0) or (3,4) (Hitchin, math/0010054;
+# Bryant, math/0305124).  Certification tests det B != 0 only; these tests
+# pin it to the stabilizer dimension.
+
+STABILITY = settings(max_examples=25, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def unimodular_frames(draw, n=7):
+    """Integer shears E_ij(c) followed by a row permutation: det = +-1."""
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    shears = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(-2, 2))
+    for i, j, c in draw(st.lists(shears, max_size=8)):
+        if i != j:
+            rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
+    return Matrix([rows[k] for k in draw(st.permutations(range(n)))])
+
+
+def _stability_signature(phi: KForm):
+    """Check the criterion on phi; the normalized signature of B, or None
+    when B is degenerate."""
+    b = bilinear_volume_form(phi)
+    det_b = b.det()
+    dim = len(stabilizer_algebra(phi))
+    event("degenerate" if det_b.is_zero() else f"det B sign {det_b.sign():+d}")
+    if det_b.is_zero():
+        # a degenerate form lies in no open orbit: its stabilizer is larger
+        assert dim > 14
+        with pytest.raises(NotG2Error):
+            certify_g2(phi)
+        return None
+    assert dim == 14
+    p, q, z = b.signature()
+    sig = (p, q, z) if det_b.sign() > 0 else (q, p, z)
+    assert sig in ((7, 0, 0), (3, 4, 0))
+    assert certify_g2(phi).eps == (-1 if sig == (7, 0, 0) else 1)
+    return sig
+
+
+@STABILITY
+@given(frame=unimodular_frames(), eps=st.sampled_from((-1, 1)),
+       diag=st.lists(st.sampled_from((1, -1, 2, -2)), min_size=7, max_size=7),
+       drop=st.one_of(st.none(), st.integers(0, 6)),
+       scale=st.sampled_from((ONE, -ONE, Scalar(1, 1), Scalar(-1, -1))))
+def test_stability_criterion_on_model_pullbacks(frame, eps, diag, drop, scale):
+    # the integer frame U diag(d) loses rank when one d_i is dropped to 0;
+    # a scale of +-(1 + sqrt2) sends the ninth root out of Q(sqrt2)
+    if drop is not None:
+        diag[drop] = 0
+    a = frame @ Matrix.diagonal(diag)
+    sig = _stability_signature(pullback(a, phi_model(eps)).scale(scale))
+    assert (sig is None) == (drop is not None)
+    assert sig is None or sig == ((7, 0, 0) if eps == -1 else (3, 4, 0))
+
+
+covectors = st.lists(st.integers(-2, 2), min_size=7, max_size=7).map(
+    lambda c: KForm(7, 1, {(i + 1,): Scalar(x) for i, x in enumerate(c) if x}))
+
+
+@STABILITY
+@given(a=covectors, b=covectors, c=covectors)
+def test_stability_criterion_on_decomposable_forms(a, b, c):
+    assert _stability_signature(wedge(wedge(a, b), c)) is None
+
+
+@STABILITY
+@given(frame=unimodular_frames(),
+       omega=st.lists(st.integers(-1, 1), min_size=6, max_size=6))
+def test_stability_criterion_on_lifted_null_form(frame, omega):
+    # rho_0 on R^6 lifted to R^7 is degenerate (e_7 -| phi = 0); adding
+    # e^7 ^ omega makes it a split structure for about two omegas in three
+    # here, and the criterion must agree with the stabilizer either way
+    lift = Matrix.sparse(6, 7, {(i, i): ONE for i in range(6)})
+    pairs = ((1, 4), (5, 6), (2, 5), (4, 6), (3, 6), (4, 5))
+    phi = pullback(lift, rho_null_model()) + KForm.build(
+        7, 3, [(c, i, j, 7) for c, (i, j) in zip(omega, pairs) if c])
+    sig = _stability_signature(pullback(frame, phi))
+    # rho_0 is the hyperplane type of the split form only
+    assert sig in (None, (3, 4, 0))
+    if not any(omega):
+        assert sig is None
+
+
 # -- certification -----------------------------------------------------------------
 
 
@@ -128,6 +216,17 @@ def test_certify_witt_form():
     assert s.metric.signature() == (3, 4, 0)
     assert s.vol.coefficient(1, 2, 3, 4, 5, 6, 7) == Scalar(Fraction(-1, 2))
     assert s.star_phi() == witt_star_phi()
+
+
+def test_certify_builds_no_action_matrix(monkeypatch):
+    # det B != 0 is the whole stability test: no 35x49 stabilizer rank
+    import g2aa.g2 as g2
+
+    monkeypatch.setattr(g2, "_action_matrix", lambda forms: pytest.fail("action matrix built"))
+    phi = pullback(random_unimodular(random.Random(44), 7), phi_model(1))
+    assert certify_g2(phi, tol=1e-8).eps == 1
+    with pytest.raises(NotG2Error):
+        certify_g2(KForm.basis(7, 1, 2, 3), tol=1e-8)
 
 
 def test_certify_rejects_decomposable():
