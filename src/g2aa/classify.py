@@ -10,10 +10,12 @@ eigenvalue data, and return ``Decision.UNDECIDABLE`` rather than guess.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations, product
+from typing import Callable
 
 from .exterior import KForm, gl_action
 from .g2 import (
@@ -37,17 +39,13 @@ from .liealg import (
     segre_partition,
 )
 from .linalg import Matrix
-from .scalars import ONE, ZERO, Scalar, as_scalar
+from .scalars import ONE, ZERO, DomainError, Scalar, as_scalar
 
 
 class Decision(Enum):
     YES = "yes"
     NO = "no"
     UNDECIDABLE = "undecidable"
-
-
-CALIBRATED_MODES = ("g2", "g2star_24", "g2star_33", "g2star_deg")
-PARALLEL_MODES = ("g2", "g2star_24", "g2star_33")
 
 
 # -- parameter records ---------------------------------------------------------
@@ -409,6 +407,79 @@ def nilpotent_parallel_report(p: NilpotentParallelParams) -> NilpotentReport:
 # -- decisions --------------------------------------------------------------------
 
 
+def _paired(values: list[Scalar]) -> bool:
+    """The eigenvalues sum to zero and each occurs an even number of times."""
+    return sum(values, ZERO).is_zero() and all(c % 2 == 0 for c in Counter(values).values())
+
+
+def _some_split(values: list[Scalar], test) -> bool:
+    """Does some split of the six eigenvalues into triples (mu, nu) pass test?"""
+    for pick in combinations(range(6), 3):
+        mu = [values[i] for i in pick]
+        nu = [values[i] for i in range(6) if i not in pick]
+        if test(mu, nu):
+            return True
+    return False
+
+
+def _zero_sum_triples(mu, nu) -> bool:
+    return sum(mu, ZERO).is_zero() and sum(nu, ZERO).is_zero()
+
+
+def _shifted_triple(mu, nu) -> bool:
+    """nu = mu - tr(mu) as multisets."""
+    t = sum(mu, ZERO)
+    return Counter(nu) == Counter(x - t for x in mu)
+
+
+@dataclass(frozen=True)
+class _Mode:
+    """One structure type: G2, or G2* with an ideal of signature (2,4),
+    (3,3) or degenerate.
+
+    ``calibrated`` and ``parallel`` hold the Segre partitions of the
+    nilpotent ad-matrices that admit a calibrated structure, and a parallel
+    one with non-degenerate ideal (None for the degenerate type).  ad(f_7)
+    that annihilates ``rho`` (and ``half_omega_sq``, for parallel
+    structures) certifies existence; ``eigen_rule`` decides a diagonalizable
+    ad(f_7) from its six real eigenvalues.
+    """
+
+    calibrated: frozenset
+    parallel: frozenset | None
+    rho: KForm
+    half_omega_sq: KForm | None
+    eigen_rule: Callable[[list[Scalar]], bool]
+
+
+# the Jordan types of a nilpotent 3x3 matrix, each doubled
+_DOUBLED_PARTS = frozenset({(1, 1, 1, 1, 1, 1), (2, 2, 1, 1), (3, 3)})
+
+_MODES = {
+    "g2": _Mode(_DOUBLED_PARTS, frozenset({(1, 1, 1, 1, 1, 1)}),
+                rho_model(-1), half_omega_squared(-1), _paired),
+    "g2star_24": _Mode(_DOUBLED_PARTS, _DOUBLED_PARTS,
+                       rho_model(-1), half_omega_squared(1), _paired),
+    # calibrated: the union of two Jordan types of a nilpotent 3x3 matrix
+    "g2star_33": _Mode(frozenset({(1, 1, 1, 1, 1, 1), (2, 1, 1, 1, 1), (2, 2, 1, 1),
+                                  (3, 3), (3, 2, 1), (3, 1, 1, 1)}),
+                       _DOUBLED_PARTS, rho_model(1), half_omega_squared(-1),
+                       lambda values: _some_split(values, _zero_sum_triples)),
+    # calibrated: every partition with a witness, i.e. all but (3,1,1,1)
+    "g2star_deg": _Mode(frozenset(_WITNESSES), None, rho_null_model(), None,
+                        lambda values: _some_split(values, _shifted_triple)),
+}
+
+CALIBRATED_MODES = tuple(_MODES)
+PARALLEL_MODES = tuple(m for m, row in _MODES.items() if row.parallel is not None)
+
+
+def _mode(mode: str, kind: str) -> _Mode:
+    if mode not in _MODES:
+        raise DomainError(f"unknown {kind} mode {mode!r}")
+    return _MODES[mode]
+
+
 def _partition_of(algebra: AlmostAbelianAlgebra) -> SegrePartition | None:
     try:
         return segre_partition(algebra.ad_matrix)
@@ -416,75 +487,24 @@ def _partition_of(algebra: AlmostAbelianAlgebra) -> SegrePartition | None:
         return None
 
 
-_CAL_G2_PARTS = {(1, 1, 1, 1, 1, 1), (2, 2, 1, 1), (3, 3)}
-_CAL_33_PARTS = {
-    (1, 1, 1, 1, 1, 1), (2, 1, 1, 1, 1), (2, 2, 1, 1),
-    (3, 3), (3, 2, 1), (3, 1, 1, 1),
-}
-
-
-def _calibrated_nilpotent(parts: tuple[int, ...], mode: str) -> Decision:
-    if mode in ("g2", "g2star_24"):
-        return Decision.YES if parts in _CAL_G2_PARTS else Decision.NO
-    if mode == "g2star_33":
-        return Decision.YES if parts in _CAL_33_PARTS else Decision.NO
-    if mode == "g2star_deg":
-        return Decision.YES if parts != (3, 1, 1, 1) else Decision.NO
-    raise ValueError(f"unknown calibrated mode {mode!r}")
-
-
-def _calibrated_model_form(mode: str) -> KForm:
-    if mode in ("g2", "g2star_24"):
-        return rho_model(-1)
-    if mode == "g2star_33":
-        return rho_model(1)
-    return rho_null_model()
-
-
-def _split_into_zero_sum_triples(values: list[Scalar]) -> bool:
-    for pick in combinations(range(6), 3):
-        s = values[pick[0]] + values[pick[1]] + values[pick[2]]
-        if not s.is_zero():
-            continue
-        rest = [values[i] for i in range(6) if i not in pick]
-        if not (rest[0] + rest[1] + rest[2]).is_zero():
-            continue
-        return True
-    return False
-
-
-def _split_shifted(values: list[Scalar]) -> bool:
-    # exists a 3-subset mu with complement equal to mu - sum(mu) as multisets
-    for pick in combinations(range(6), 3):
-        mu = [values[i] for i in pick]
-        t = mu[0] + mu[1] + mu[2]
-        rest = sorted((values[i] for i in range(6) if i not in pick), key=_sort_key)
-        shifted = sorted((x - t for x in mu), key=_sort_key)
-        if rest == shifted:
-            return True
-    return False
-
-
-def _sort_key(s: Scalar):
-    return (s.a, s.b)
-
-
-def _eigen_decision(values: list[Scalar], mode: str) -> Decision:
-    total = values[0]
-    for x in values[1:]:
-        total = total + x
-    if mode in ("g2", "g2star_24"):
-        if not total.is_zero():
-            return Decision.NO
-        counts: dict = {}
-        for x in values:
-            counts[(x.a, x.b)] = counts.get((x.a, x.b), 0) + 1
-        return Decision.YES if all(c % 2 == 0 for c in counts.values()) else Decision.NO
-    if mode == "g2star_33":
-        return Decision.YES if _split_into_zero_sum_triples(values) else Decision.NO
-    if mode == "g2star_deg":
-        return Decision.YES if _split_shifted(values) else Decision.NO
-    raise ValueError(f"unknown calibrated mode {mode!r}")
+def _decide(algebra, partitions, forms, basis_change, rule=None, eigen_data=None) -> Decision:
+    """The Segre partition decides nilpotent input; otherwise ad(f_7), in
+    the basis given by ``basis_change``, annihilating every form certifies
+    YES, and eigenvalue data, if given, decides by ``rule``."""
+    parts = _partition_of(algebra)
+    if parts is not None:
+        return Decision.YES if parts.parts in partitions else Decision.NO
+    ad = algebra.ad_matrix
+    if basis_change is not None:
+        ad = basis_change.inverse() @ ad @ basis_change
+    if all(gl_action(ad, form).is_zero() for form in forms):
+        return Decision.YES
+    if eigen_data is None:
+        return Decision.UNDECIDABLE
+    values = [as_scalar(x) for x in eigen_data]
+    if len(values) != 6:
+        raise DomainError("eigen data must list the six real eigenvalues")
+    return Decision.YES if rule(values) else Decision.NO
 
 
 def calibrated_decision(
@@ -501,35 +521,9 @@ def calibrated_decision(
     after a caller-supplied basis change), or from caller-supplied real
     eigenvalue data for a diagonalizable ad-matrix; otherwise UNDECIDABLE.
     """
-    if mode not in CALIBRATED_MODES:
-        raise ValueError(f"unknown calibrated mode {mode!r}")
-    parts = _partition_of(algebra)
-    if parts is not None:
-        return _calibrated_nilpotent(parts.parts, mode)
-    ad = algebra.ad_matrix
-    if basis_change is not None:
-        ad = basis_change.inverse() @ ad @ basis_change
-    if gl_action(ad, _calibrated_model_form(mode)).is_zero():
-        return Decision.YES
-    if eigen_data is not None:
-        values = [as_scalar(x) for x in eigen_data]
-        if len(values) != 6:
-            raise ValueError("eigen data must list the six real eigenvalues")
-        return _eigen_decision(values, mode)
-    return Decision.UNDECIDABLE
-
-
-_PARALLEL_NILP_PARTS = {(1, 1, 1, 1, 1, 1), (2, 2, 1, 1), (3, 3)}
-
-
-def _parallel_model_pair(mode: str) -> tuple[KForm, KForm]:
-    if mode == "g2":
-        return rho_model(-1), half_omega_squared(-1)
-    if mode == "g2star_24":
-        return rho_model(-1), half_omega_squared(1)
-    if mode == "g2star_33":
-        return rho_model(1), half_omega_squared(-1)
-    raise ValueError(f"unknown parallel mode {mode!r}")
+    row = _mode(mode, "calibrated")
+    return _decide(algebra, row.calibrated, (row.rho,), basis_change,
+                   row.eigen_rule, eigen_data)
 
 
 def parallel_nondeg_decision(
@@ -540,20 +534,10 @@ def parallel_nondeg_decision(
 ) -> Decision:
     """Does the algebra admit a parallel structure with non-degenerate
     ideal of the given kind?"""
-    if mode not in PARALLEL_MODES:
-        raise ValueError(f"unknown parallel mode {mode!r}")
-    parts = _partition_of(algebra)
-    if parts is not None:
-        if mode == "g2":
-            return Decision.YES if parts.parts == (1, 1, 1, 1, 1, 1) else Decision.NO
-        return Decision.YES if parts.parts in _PARALLEL_NILP_PARTS else Decision.NO
-    ad = algebra.ad_matrix
-    if basis_change is not None:
-        ad = basis_change.inverse() @ ad @ basis_change
-    rho, om2 = _parallel_model_pair(mode)
-    if gl_action(ad, rho).is_zero() and gl_action(ad, om2).is_zero():
-        return Decision.YES
-    return Decision.UNDECIDABLE
+    row = _mode(mode, "parallel")
+    if row.parallel is None:
+        raise DomainError("parallel decisions cover the non-degenerate modes only")
+    return _decide(algebra, row.parallel, (row.rho, row.half_omega_sq), basis_change)
 
 
 # -- Table regeneration -------------------------------------------------------------
@@ -602,7 +586,10 @@ def sweep_parameter_grid(bound: int = 1):
 def sweep_sample(bound: int, count: int):
     """``count`` evenly spaced points of ``sweep_parameter_grid(bound)`` in
     grid order (all of them if the grid is no larger), so that every delta
-    is sampled."""
+    is sampled.  A sample of no points is refused."""
+    if bound < 0 or count < 1:
+        raise DomainError(f"a sweep needs bound >= 0 and at least one point, "
+                          f"not bound {bound} and {count} points")
     points = list(_grid(bound))
     if count < len(points):
         points = [points[k * len(points) // count] for k in range(count)]

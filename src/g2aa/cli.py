@@ -7,8 +7,9 @@ Subcommands:
   reproduce  -- golden checks: table1, example_a, example_b, stabilizers,
                 witt, sweep
 
-Exit codes: 0 success, 1 internal error, 2 domain rejection
-(not a G2 structure / undecidable), 3 reproduction mismatch.
+Exit codes: 0 success; 1 a missing or unreadable file, or an internal
+error; 2 domain rejection (malformed input, not a G2 structure,
+undecidable), reported by ``main`` alone; 3 reproduction mismatch.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .exterior import KForm
 from .g2 import (
     MODEL_TENSORS,
     NotG2Error,
+    _positive_tol,
     certify_g2,
     witt_frame_from_adapted,
     witt_phi,
@@ -34,6 +36,7 @@ from .geometry import analyze
 from .liealg import AlmostAbelianAlgebra, differential
 from .linalg import Matrix
 from .classify import (
+    CALIBRATED_MODES,
     Decision,
     calibrated_decision,
     nilpotent_parallel_report,
@@ -42,7 +45,7 @@ from .classify import (
     sweep_sample,
     table1_diff,
 )
-from .scalars import Scalar
+from .scalars import DomainError, Scalar
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -50,8 +53,20 @@ EXIT_DOMAIN = 2
 EXIT_MISMATCH = 3
 
 
-class DomainError(ValueError):
-    """Input outside the paper's domain; reported with exit code 2."""
+def _read_json(source: str, what: str, parse):
+    """parse(the JSON document in file source); a malformed file is a
+    DomainError, a missing one a FileNotFoundError."""
+    path = Path(source)
+    if not path.exists():
+        raise FileNotFoundError(f"no such {what}: {source}")
+    try:
+        return parse(json.loads(path.read_text()))
+    except json.JSONDecodeError as exc:
+        raise DomainError(f"{source} is not valid JSON: {exc}") from exc
+    except KeyError as exc:
+        raise DomainError(f"{source} has no key {exc}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DomainError(str(exc)) from exc
 
 
 def _load_form(source: str) -> KForm:
@@ -59,39 +74,19 @@ def _load_form(source: str) -> KForm:
         return MODEL_TENSORS[source]()
     if source == "witt_phi":
         return witt_phi()
-    path = Path(source)
-    if not path.exists():
-        raise FileNotFoundError(f"no such form file or model tensor name: {source}")
-    return KForm.from_json(path.read_text())
+    return _read_json(source, "form file or model tensor name", KForm.from_json_dict)
 
 
 def _load_algebra(source: str) -> AlmostAbelianAlgebra:
-    path = Path(source)
-    if not path.exists():
-        raise FileNotFoundError(f"no such algebra file: {source}")
-    algebra = _parsed(AlmostAbelianAlgebra.from_json_dict, json.loads(path.read_text()))
+    algebra = _read_json(source, "algebra file", AlmostAbelianAlgebra.from_json_dict)
     if algebra.n != 7:
         raise DomainError(f"algebra has dimension {algebra.n}, not 7")
     return algebra
 
 
-def _parsed(parse, value):
-    """parse(value), with a malformed value reported as a DomainError."""
-    try:
-        return parse(value)
-    except (ValueError, TypeError) as exc:
-        raise DomainError(str(exc)) from exc
-
-
 def cmd_certify(args) -> int:
-    if args.tol <= 0:
-        print("error: tolerance must be positive", file=sys.stderr)
-        return EXIT_DOMAIN
-    try:
-        phi = _load_form(args.form)
-    except Exception as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+    _positive_tol(args.tol)  # refused before the form is read
+    phi = _load_form(args.form)
     try:
         s = certify_g2(phi, tol=args.tol)
     except NotG2Error as exc:
@@ -132,23 +127,11 @@ def cmd_certify(args) -> int:
 
 
 def cmd_report(args) -> int:
-    try:
-        algebra = _load_algebra(args.input)
-        phi = _load_form(args.form)
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except Exception as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
-    try:
-        s = certify_g2(phi)
-    except NotG2Error as exc:
-        print(f"NotG2: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+    algebra = _load_algebra(args.input)
+    phi = _load_form(args.form)
+    s = certify_g2(phi)  # main reports a NotG2Error
     if not s.is_exact:
-        print("error: float metric rejected for the exact pipeline", file=sys.stderr)
-        return EXIT_DOMAIN
+        raise DomainError("float metric rejected for the exact pipeline")
     report = analyze(algebra, phi, s.metric)
     star = s.star_phi()
     d_phi = differential(algebra, phi)
@@ -183,23 +166,11 @@ def cmd_report(args) -> int:
 
 
 def cmd_decide(args) -> int:
-    try:
-        algebra = _load_algebra(args.input)
-        eigen = ([_parsed(Scalar.from_string, x) for x in args.eigen.split(",")]
-                 if args.eigen else None)
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except Exception as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+    algebra = _load_algebra(args.input)
+    eigen = [Scalar.from_string(x) for x in args.eigen.split(",")] if args.eigen else None
     if args.kind == "calibrated":
         got = calibrated_decision(algebra, args.mode, eigen_data=eigen)
     else:
-        if args.mode == "g2star_deg":
-            print("error: parallel decisions cover the non-degenerate modes only",
-                  file=sys.stderr)
-            return EXIT_DOMAIN
         got = parallel_nondeg_decision(algebra, args.mode)
     if args.format == "json":
         print(json.dumps({"kind": args.kind, "mode": args.mode, "decision": got.value}))
@@ -324,10 +295,10 @@ def _reproduce_table1(check: _Checks):
     check("table1: regenerated rows match (11 rows)", not diff)
 
 
-def _reproduce_sweep(check: _Checks, bound: int, limit: int):
+def _reproduce_sweep(check: _Checks, sample):
     count = 0
     ok = True
-    for p in sweep_sample(bound, limit):
+    for p in sample:
         count += 1
         closed = nilpotent_parallel_report(p)
         direct = pipeline_report(p)
@@ -339,26 +310,23 @@ def _reproduce_sweep(check: _Checks, bound: int, limit: int):
 
 
 def cmd_reproduce(args) -> int:
-    check = _Checks(args.format)
     which = args.which
-    try:
-        if which in ("stabilizers", "all"):
-            _reproduce_stabilizers(check)
-        if which in ("witt", "all"):
-            _reproduce_witt(check)
-        if which in ("example_a", "all"):
-            _reproduce_example_a(check)
-        if which in ("example_b", "all"):
-            _reproduce_example_b(check)
-        if which in ("table1", "all"):
-            _reproduce_table1(check)
-        if which in ("sweep", "all"):
-            _reproduce_sweep(check, args.sweep_bound, args.sweep_limit)
-    except BrokenPipeError:
-        raise  # a closed stdout is not an internal error; main handles it
-    except Exception as exc:  # pragma: no cover - defensive
-        print(f"internal error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+    # an empty sweep is refused before any check runs
+    sample = (sweep_sample(args.sweep_bound, args.sweep_limit)
+              if which in ("sweep", "all") else None)
+    check = _Checks(args.format)
+    if which in ("stabilizers", "all"):
+        _reproduce_stabilizers(check)
+    if which in ("witt", "all"):
+        _reproduce_witt(check)
+    if which in ("example_a", "all"):
+        _reproduce_example_a(check)
+    if which in ("example_b", "all"):
+        _reproduce_example_b(check)
+    if which in ("table1", "all"):
+        _reproduce_table1(check)
+    if sample is not None:
+        _reproduce_sweep(check, sample)
     if check.failures:
         print(f"first failing check: {check.failures[0]}", file=sys.stderr)
         return EXIT_MISMATCH
@@ -389,8 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_dec = sub.add_parser("decide", help="calibrated/parallel existence decisions")
     p_dec.add_argument("--input", required=True, help="algebra JSON file")
-    p_dec.add_argument("--mode", required=True,
-                       choices=("g2", "g2star_24", "g2star_33", "g2star_deg"))
+    p_dec.add_argument("--mode", required=True, choices=CALIBRATED_MODES)
     p_dec.add_argument("--kind", choices=("calibrated", "parallel"), default="calibrated")
     p_dec.add_argument("--eigen", default=None,
                        help="comma-separated real eigenvalues of the ad matrix "
@@ -416,8 +383,17 @@ def main(argv: list[str] | None = None) -> int:
     args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
+    except NotG2Error as exc:
+        print(f"NotG2: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
+    except DomainError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
     except BrokenPipeError:  # pragma: no cover
         return EXIT_OK
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

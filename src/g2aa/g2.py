@@ -21,7 +21,7 @@ from functools import lru_cache
 
 from .exterior import KForm, _complement, gl_action, hodge_star, interior, pullback, wedge
 from .linalg import Matrix
-from .scalars import HALF, HALF_SQRT2, ONE, ZERO, Scalar
+from .scalars import HALF, HALF_SQRT2, ONE, ZERO, DomainError, Scalar
 
 
 class NotG2Error(ValueError):
@@ -297,6 +297,8 @@ def _certify_cached(phi: KForm, tol: float) -> G2EpsStructure:
         bf = b.to_float()
     except OverflowError as exc:
         raise NotG2Error("coefficients too large for the float fallback") from exc
+    if det_f == 0.0:
+        raise NotG2Error("coefficients too small for the float fallback")
     c_f = _float_ninth_root(det_f)
     metric_f = tuple(tuple(x / c_f for x in row) for row in bf)
     rel = abs(c_f**9 - det_f) / max(abs(det_f), 1e-300)
@@ -318,9 +320,13 @@ def certify_g2(phi: KForm, tol: float = FLOAT_TOL) -> G2EpsStructure:
     ``tol`` bounds the relative error of the float fallback's ninth-root
     relation; the exact path ignores it.
     """
+    return _certify_cached(phi, _positive_tol(tol))
+
+
+def _positive_tol(tol: float) -> float:
     if tol <= 0:
-        raise ValueError("tolerance must be positive")
-    return _certify_cached(phi, tol)
+        raise DomainError("tolerance must be positive")
+    return tol
 
 
 def _float_ninth_root(x: float) -> float:

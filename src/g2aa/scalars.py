@@ -16,6 +16,12 @@ RationalLike = Union[int, Fraction, str]
 _FRACTION_ZERO = Fraction(0)
 
 
+class DomainError(ValueError):
+    """Input outside the domain the library decides: a malformed scalar, a
+    non-positive tolerance, a mode the question does not cover.  The
+    command line reports it with exit code 2."""
+
+
 class Scalar:
     """An element a + b*sqrt(2) of Q(sqrt2), with a, b exact rationals."""
 
@@ -39,7 +45,7 @@ class Scalar:
         """Parse the canonical serialization (see ``__str__``).
 
         Accepted forms: "p/q", "p/q*sqrt2", "p/q+r/s*sqrt2", "p/q-r/s*sqrt2",
-        with integer numerators/denominators and no spaces; else ValueError.
+        with integer numerators/denominators and no spaces; else DomainError.
         """
         s = text.strip().replace(" ", "")
         try:
@@ -64,7 +70,7 @@ class Scalar:
                 coef = "-1"
             return Scalar(Fraction(rat), Fraction(coef))
         except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"malformed scalar {text!r}") from exc
+            raise DomainError(f"malformed scalar {text!r}") from exc
 
     # -- predicates --------------------------------------------------------
 

@@ -1,16 +1,21 @@
 import random
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
 from g2aa.exterior import gl_action
-from g2aa.g2 import certify_g2, rho_null_model, witt_phi
+from g2aa.g2 import certify_g2, rho_model, rho_null_model, stabilizer_algebra, witt_phi
 from g2aa.geometry import curvature, levi_civita
 from g2aa.liealg import AlmostAbelianAlgebra, SegrePartition, segre_partition
+from conftest import random_unimodular
 from g2aa.classify import (
+    CALIBRATED_MODES,
+    NULL_PAIR_BASIS,
+    PARALLEL_MODES,
     Decision,
     NilpotentParallelParams,
     ParallelFamilyParams,
+    blockdiag,
     build_instance,
     calibrated_decision,
     is_parallel_witt,
@@ -19,13 +24,15 @@ from g2aa.classify import (
     parallel_nondeg_decision,
     pipeline_report,
     regenerate_table1,
+    rotation_block,
+    shape_24,
     structure_matrix,
     table1_diff,
     witness_block_matrix,
 )
 from g2aa.liealg import differential
 from g2aa.linalg import Matrix
-from g2aa.scalars import Scalar
+from g2aa.scalars import DomainError, Scalar
 
 
 PARTITIONS_OF_6 = [
@@ -322,6 +329,98 @@ def test_parallel_nondeg_certificate():
     assert parallel_nondeg_decision(inst.algebra, "g2") is Decision.YES
     alg = AlmostAbelianAlgebra(7, Matrix.diagonal([1, -1, 2, -2, 3, -3]))
     assert parallel_nondeg_decision(alg, "g2") is Decision.UNDECIDABLE
+    # the sum of a basis of stab(rho_eps) annihilates rho_eps, is not
+    # nilpotent, and does not annihilate the mode's omega^2/2
+    for mode, eps in (("g2", -1), ("g2star_24", -1), ("g2star_33", 1)):
+        alg = AlmostAbelianAlgebra(7, sum(stabilizer_algebra(rho_model(eps)), Matrix.zero(6)))
+        assert calibrated_decision(alg, mode) is Decision.YES
+        assert parallel_nondeg_decision(alg, mode) is Decision.UNDECIDABLE
+
+
+def _oracle_rule(mode, values):
+    """The eigenvalue rules read off the 720 orderings of the six values."""
+    zero = Scalar(0)
+    if mode in ("g2", "g2star_24"):  # zero sum, in equal pairs
+        return sum(values, zero) == 0 and any(
+            p[0] == p[1] and p[2] == p[3] and p[4] == p[5] for p in permutations(values))
+    if mode == "g2star_33":  # two triples of zero sum
+        return any(sum(p[:3], zero) == 0 and sum(p[3:], zero) == 0
+                   for p in permutations(values))
+    # mu and mu - tr(mu)
+    return any(all(p[3 + i] == p[i] - sum(p[:3], zero) for i in range(3))
+               for p in permutations(values))
+
+
+_S2 = Scalar(0, 1)
+# values -> the modes (g2, g2star_24, g2star_33, g2star_deg) that answer yes
+EIGEN_CASES = [
+    ([1, 1, 2, 2, -3, -3], "YYYY"),                          # zero-sum pairs
+    ([_S2, _S2, 1, 1, -1 - _S2, -1 - _S2], "YYYY"),
+    ([_S2, _S2, -_S2, -_S2, 0, 0], "YYYY"),
+    ([1, 1, 2, 2, 3, 3], "NNNN"),                            # pairs, nonzero sum
+    ([1, 1, -1, -1, 2, -2], "NNYN"),                         # two zero-sum triples
+    ([1, 2, -3, 4, 5, -9], "NNYN"),
+    ([_S2, 1, -1 - _S2, 2 * _S2, -_S2, -_S2], "NNYN"),
+    ([1, 2, 3, -5, -4, -3], "NNNY"),                         # mu and mu - tr(mu)
+    ([_S2, 1, 0, -1, -_S2, -1 - _S2], "NNNY"),
+    ([1, 1, 1, 1, 1, 1], "NNNN"),
+    ([_S2, 1, 2, 3, 4, 5], "NNNN"),
+]
+
+
+@pytest.mark.parametrize("values, want", EIGEN_CASES)
+def test_eigen_rules_on_constructed_spectra(values, want):
+    values = [Scalar(x) if isinstance(x, int) else x for x in values]
+    # a conjugate of diag(values) that no model form certifies, so the
+    # eigenvalue rule decides
+    p = Matrix.identity(6) + Matrix.sparse(6, 6, {(i, i + 1): 1 for i in range(5)})
+    alg = AlmostAbelianAlgebra(7, p @ Matrix.diagonal(values) @ p.inverse())
+    shuffled = values[3:] + values[:3]
+    for mode, w in zip(CALIBRATED_MODES, want):
+        assert calibrated_decision(alg, mode) is Decision.UNDECIDABLE
+        got = calibrated_decision(alg, mode, eigen_data=shuffled)
+        assert got is (Decision.YES if w == "Y" else Decision.NO), mode
+        assert _oracle_rule(mode, values) is (w == "Y"), mode
+        with pytest.raises(DomainError, match="six real eigenvalues"):
+            calibrated_decision(alg, mode, eigen_data=values[:5])
+
+
+def test_decision_order_partition_then_certificate_then_eigen_data():
+    # eigen data of the wrong length is read only when neither the
+    # partition nor the certificate decides
+    nilpotent = algebra_with_partition((3, 1, 1, 1))
+    assert calibrated_decision(nilpotent, "g2star_deg", eigen_data=[1]) is Decision.NO
+    certified = AlmostAbelianAlgebra(7, witness_block_matrix(Matrix.diagonal([1, 2, -3]),
+                                                             Matrix.zero(3)))
+    assert calibrated_decision(certified, "g2star_deg", eigen_data=[1]) is Decision.YES
+    with pytest.raises(DomainError, match="non-degenerate modes only"):
+        parallel_nondeg_decision(nilpotent, "g2star_deg")
+    with pytest.raises(DomainError, match="unknown calibrated mode"):
+        calibrated_decision(nilpotent, "g2star")
+
+
+def test_basis_change_certificate(rng):
+    # non-nilpotent ad-matrices literally in the stabilizers of the model
+    # forms, seen in another basis: only the basis change back certifies them
+    literal = {
+        "g2": blockdiag(rotation_block(0, 1), rotation_block(0, 2), rotation_block(0, -3)),
+        "g2star_24": shape_24(2, (1, 2)),
+        "g2star_33": NULL_PAIR_BASIS @ blockdiag(Matrix.diagonal([1, 2, -3]),
+                                                 Matrix.diagonal([-1, -2, 3]))
+        @ NULL_PAIR_BASIS.inverse(),
+        "g2star_deg": witness_block_matrix(Matrix.diagonal([1, 2, -3]), Matrix.zero(3)),
+    }
+    q = random_unimodular(rng, 6)
+    for mode, ad in literal.items():
+        moved = AlmostAbelianAlgebra(7, q @ ad @ q.inverse())
+        decisions = [calibrated_decision]
+        if mode in PARALLEL_MODES:
+            decisions.append(parallel_nondeg_decision)
+        for decide in decisions:
+            assert decide(AlmostAbelianAlgebra(7, ad), mode) is Decision.YES
+            assert decide(moved, mode) is Decision.UNDECIDABLE
+            assert decide(moved, mode, basis_change=q.inverse()) is Decision.UNDECIDABLE
+            assert decide(moved, mode, basis_change=q) is Decision.YES
 
 
 # -- table regeneration -----------------------------------------------------------------

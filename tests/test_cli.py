@@ -1,23 +1,28 @@
 import json
+from fractions import Fraction
 
 import pytest
 
 from g2aa import cli
 from g2aa.classify import NilpotentReport, nilpotent_parallel_report
-from g2aa.cli import EXIT_DOMAIN, EXIT_MISMATCH, EXIT_OK, _example_a_algebra, main
+from g2aa.cli import (EXIT_DOMAIN, EXIT_INTERNAL, EXIT_MISMATCH, EXIT_OK,
+                     _example_a_algebra, main)
 from g2aa.exterior import KForm
 from g2aa.g2 import phi_model, witt_phi
+from g2aa.scalars import Scalar
 
 
 def write_form(tmp_path, form, name="form.json"):
-    path = tmp_path / name
-    path.write_text(form.to_json())
-    return str(path)
+    return write_text(tmp_path, name, form.to_json())
 
 
 def write_algebra(tmp_path, algebra, name="algebra.json"):
+    return write_text(tmp_path, name, algebra.to_json())
+
+
+def write_text(tmp_path, name, text):
     path = tmp_path / name
-    path.write_text(algebra.to_json())
+    path.write_text(text)
     return str(path)
 
 
@@ -96,6 +101,43 @@ def test_rejects_inputs_outside_the_domain(tmp_path, capsys):
     assert main(["decide", "--input", zero, "--kind", "parallel",
                  "--mode", "g2star_deg"]) == EXIT_DOMAIN
     assert "non-degenerate modes only" in capsys.readouterr().err
+    # a float fallback whose determinant underflows
+    tiny = write_form(tmp_path, phi_model(-1).scale(Scalar(Fraction(2, 10**40))), "tiny.json")
+    assert main(["certify", "--form", tiny]) == EXIT_DOMAIN
+    assert "NotG2: coefficients too small" in capsys.readouterr().out
+    assert main(["report", "--input", zero, "--form", tiny]) == EXIT_DOMAIN
+    assert "NotG2: coefficients too small" in capsys.readouterr().err
+    # a sweep of no points
+    assert main(["reproduce", "sweep", "--sweep-limit", "0"]) == EXIT_DOMAIN
+    assert main(["reproduce", "sweep", "--sweep-bound", "-1"]) == EXIT_DOMAIN
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("error: a sweep needs") == 2
+    # malformed files and eigen data: exit 2 with a reason, no traceback
+    diag = write_algebra(tmp_path, AlmostAbelianAlgebra(7, Matrix.diagonal(range(1, 7))),
+                         "diag.json")
+    form = {"dim": 7, "degree": 3, "terms": [{"idx": [1, 2, 3], "coef": "1/0"}]}
+    coef = write_text(tmp_path, "coef.json", json.dumps(form))
+    form["terms"] = [{"idx": [1, 2, 9], "coef": "1"}]
+    index = write_text(tmp_path, "index.json", json.dumps(form))
+    not_json = write_text(tmp_path, "not_json.json", '{"n": 7, "ad": [')
+    no_ad = write_text(tmp_path, "no_ad.json", json.dumps({"n": 7}))
+    cases = [
+        (["decide", "--input", diag, "--mode", "g2", "--eigen", "1,2"],
+         "six real eigenvalues"),
+        (["decide", "--input", not_json, "--mode", "g2"], "not valid JSON"),
+        (["report", "--input", no_ad, "--form", "witt_phi"], "has no key 'ad'"),
+        (["certify", "--form", coef], "malformed scalar '1/0'"),
+        (["report", "--input", diag, "--form", coef], "malformed scalar '1/0'"),
+        (["certify", "--form", index], "out of range 1..7"),
+    ]
+    for argv, reason in cases:
+        assert main(argv) == EXIT_DOMAIN, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and reason in captured.err, argv
+    # a missing file is not a domain question
+    assert main(["certify", "--form", str(tmp_path / "missing.json")]) == EXIT_INTERNAL
+    assert "no such form file" in capsys.readouterr().err
 
 
 def test_report_example_a(tmp_path, capsys):

@@ -268,11 +268,14 @@ def test_certify_float_fallback_on_scaled_form():
 
 def test_certify_huge_coefficients():
     # 10^60 phi has the exact metric 10^40 g; 10^40 phi needs the float
-    # fallback, whose coefficients no float can hold
+    # fallback, whose coefficients no float can hold, and the determinant
+    # of B for 2 10^-40 phi underflows to 0.0
     s = certify_g2(phi_model(-1).scale(10**60))
     assert s.is_exact and s.metric == Matrix.identity(7).scale(10**40)
     with pytest.raises(NotG2Error, match="too large"):
         certify_g2(phi_model(-1).scale(10**40))
+    with pytest.raises(NotG2Error, match="too small"):
+        certify_g2(phi_model(-1).scale(Scalar(Fraction(2, 10**40))))
 
 
 def test_bilinear_form_matches_metric_times_volume():

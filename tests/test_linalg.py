@@ -5,7 +5,7 @@ import pytest
 
 from g2aa.g2 import phi_model, _action_matrix
 from g2aa.linalg import Echelon, Matrix, kernel, rank, signature
-from g2aa.scalars import ONE, ZERO, Scalar
+from g2aa.scalars import ONE, SQRT2, ZERO, Scalar
 
 from conftest import plain_gauss_rank, random_matrix, random_scalar, random_unimodular
 
@@ -130,6 +130,58 @@ def test_signature_float_oracle():
     from g2aa.g2 import WITT_GRAM
 
     assert signature(WITT_GRAM) == float_signature(WITT_GRAM) == (3, 4, 0)
+
+
+def test_signature_against_descartes_rule():
+    # independent exact oracle: a symmetric matrix has real eigenvalues
+    # only, so Descartes' rule of signs on sympy's characteristic
+    # polynomial p over QQ<sqrt(2)> counts the positive ones (the negative
+    # ones on p(-x)), and x^z with z the zero count is the largest power
+    # of x dividing p
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    from g2aa.g2 import WITT_GRAM
+
+    field = sympy.QQ.algebraic_field(sympy.sqrt(2))
+
+    def elem(x: Scalar):
+        return field.new([sympy.QQ(x.b.numerator, x.b.denominator),
+                          sympy.QQ(x.a.numerator, x.a.denominator)])
+
+    def changes(coeffs):
+        signs = [field.to_sympy(c) > 0 for c in coeffs if c]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    def descartes(m: Matrix):
+        p = DomainMatrix([[elem(x) for x in r] for r in m.tolist()],
+                         m.shape, field).charpoly()  # highest power first
+        n = m.rows
+        zeros = next(k for k in range(n + 1) if p[n - k])
+        return changes(p), changes([c if (n - k) % 2 == 0 else -c
+                                    for k, c in enumerate(p)]), zeros
+
+    rng = random.Random(23)
+    a = random_matrix(rng, 5, sqrt2=True)
+    b = random_matrix(rng, 3, 6, sqrt2=True)
+    u = random_unimodular(rng, 6)
+    hyperbolic = Matrix([[0, 1, 0, 0, 0, 0], [1, 0, 0, 0, 0, 0],
+                         [0, 0, 0, SQRT2, 0, 0], [0, 0, SQRT2, 0, 0, 0],
+                         [0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, -1]])
+    zero_diagonal = Matrix([[0 if i == j else random_scalar(rng) for j in range(5)]
+                            for i in range(5)])
+    cases = [
+        a + a.transpose(),                                       # indefinite
+        (a.transpose() @ a).scale(-1),                           # negative definite
+        b.transpose() @ Matrix.diagonal([1, -1, SQRT2]) @ b,     # rank 3 of 6
+        u.transpose() @ hyperbolic @ u,                          # degenerate, (2, 3, 1)
+        zero_diagonal + zero_diagonal.transpose(),
+        WITT_GRAM,
+    ]
+    for m in cases:
+        assert m.signature() == descartes(m)
+    assert [descartes(m)[2] for m in cases] == [0, 0, 3, 1, 0, 0]
+    assert descartes(WITT_GRAM) == (3, 4, 0)
 
 
 def test_gram_restriction():
