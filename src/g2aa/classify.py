@@ -590,10 +590,20 @@ def sweep_sample(bound: int, count: int):
     if bound < 0 or count < 1:
         raise DomainError(f"a sweep needs bound >= 0 and at least one point, "
                           f"not bound {bound} and {count} points")
-    points = list(_grid(bound))
-    if count < len(points):
-        points = [points[k * len(points) // count] for k in range(count)]
-    return map(_grid_point, points)
+    size = 3 * (2 * bound + 1) ** 8
+    picks = range(size) if count >= size else (k * size // count for k in range(count))
+    return (_grid_point(_grid_at(bound, k)) for k in picks)
+
+
+def _grid_at(bound: int, index: int) -> tuple:
+    """Point ``index`` of ``_grid(bound)``, decoded in mixed radix: delta is
+    the leading digit, in base 3, then eight digits in base 2 * bound + 1."""
+    radix = 2 * bound + 1
+    digits = []
+    for _ in range(8):
+        index, d = divmod(index, radix)
+        digits.append(d - bound)
+    return ((-1, 0, 1)[index], *reversed(digits))
 
 
 def regenerate_table1(bound: int = 1) -> list[TableRow]:

@@ -10,6 +10,11 @@ Sign conventions, fixed once and used everywhere:
 
 For left-invariant tensors the covariant derivative of an endomorphism
 field T along f_z is the commutator [nabla_z, T].
+
+The algebra is almost abelian, so the connection and the curvature are
+built from the nonzero brackets [f_n, f_j] = A f_j only (see ``levi_civita``
+and ``curvature``).  The inverse metric is the one ``Matrix.inverse`` keeps
+on the metric, which the Hodge star of the same certified structure shares.
 """
 
 from __future__ import annotations
@@ -54,7 +59,15 @@ class CurvatureReport:
 
 
 def levi_civita(algebra: AlmostAbelianAlgebra, metric: Matrix) -> ConnectionTable:
-    """Levi-Civita connection of an exact left-invariant metric."""
+    """Levi-Civita connection of an exact left-invariant metric, built from
+    the nonzero brackets only.
+
+    With T[a][b][c] = g([f_a, f_b], f_c), column j of nabla_i is g^{-1}
+    applied to half the Koszul vector K_i[j][k] = T[i][j][k] - T[j][k][i]
+    + T[k][i][j].  The only nonzero brackets are [f_n, f_j] = -[f_j, f_n]
+    = A f_j for j < n, so the only nonzero T are T[n][j][c] = -T[j][n][c]
+    = (g A)[c][j]; each nonzero entry of g A enters the three Koszul terms
+    once with each sign, and every other term is zero."""
     n = algebra.n
     if metric.rows != n or metric.cols != n:
         raise ValueError("metric size must match the algebra dimension")
@@ -64,19 +77,25 @@ def levi_civita(algebra: AlmostAbelianAlgebra, metric: Matrix) -> ConnectionTabl
         ginv = metric.inverse()
     except ZeroDivisionError as exc:
         raise DegenerateMetricError("metric is degenerate") from exc
-    # gb[i][j][k] = g([f_i, f_j], f_k); the metric is symmetric
-    gb = [[metric.apply(algebra.bracket(i + 1, j + 1)) for j in range(n)] for i in range(n)]
-    # column j of nabla_i solves g(nabla_i f_j, f_k) = rhs_k (Koszul)
-    nabla = tuple(
-        ginv @ Matrix.from_columns(
-            [[HALF * (gb[i][j][k] - gb[j][k][i] + gb[k][i][j]) for k in range(n)]
-             for j in range(n)])
-        for i in range(n))
+    last = n - 1
+    ga = metric @ Matrix.sparse(n, n, dict(algebra.ad_matrix.items()))
+    # half_k[i][(k, j)] = K_i[j][k] / 2, the (k, j) entry of g nabla_i
+    half_k: list[dict[tuple[int, int], Scalar]] = [{} for _ in range(n)]
+    for (c, j), x in ga.items():
+        h = HALF * x
+        for y, slots in ((h, ((last, (c, j)), (c, (last, j)), (j, (last, c)))),
+                         (-h, ((j, (c, last)), (c, (j, last)), (last, (j, c))))):
+            for i, key in slots:
+                v = half_k[i].get(key)
+                half_k[i][key] = y if v is None else v + y
+    nabla = tuple(ginv @ Matrix.sparse(n, n, k) for k in half_k)
     return ConnectionTable(algebra, metric, nabla)
 
 
 def curvature(conn: ConnectionTable) -> CurvatureReport:
-    """Curvature endomorphisms and the Ricci form."""
+    """Curvature endomorphisms and the Ricci form.  The term
+    -nabla_{[f_i, f_j]} subtracts c nabla_k for the nonzero bracket
+    coefficients c only."""
     algebra = conn.algebra
     n = algebra.n
     nabla = conn.nabla
@@ -85,7 +104,8 @@ def curvature(conn: ConnectionTable) -> CurvatureReport:
         for j in range(i + 1, n):
             rij = nabla[i].commutator(nabla[j])
             for k, c in enumerate(algebra.bracket(i + 1, j + 1)):
-                rij = rij - c * nabla[k]
+                if not c.is_zero():
+                    rij = rij - c * nabla[k]
             r[(i, j)] = rij
     # Ric(f_i, f_j) = sum_k R(f_k, f_i)[k, j]: R(f_a, f_b) enters row b
     # through its row a, and row a, negated, through its row b

@@ -7,12 +7,14 @@ nonzeros only.  One elimination engine, ``Echelon``, serves rank, kernel,
 determinant and inverse, and the span tests of the holonomy closure: an
 incremental, sparse, fraction-free (Bareiss) row echelon form over
 Z[sqrt2] that clears denominators row by row, which keeps intermediate
-entries small on the 35x49 and 35x36 stabilizer systems.  Signatures of
-symmetric matrices use exact congruence diagonalization.
+entries small on the 35x49 and 35x36 stabilizer systems.  A matrix keeps
+its inverse once computed.  Signatures of symmetric matrices use exact
+congruence diagonalization.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
@@ -35,7 +37,8 @@ def _of(rows: int, cols: int, entries: dict) -> "Matrix":
 class Matrix:
     """Immutable sparse matrix over Q(sqrt2)."""
 
-    __slots__ = ("rows", "cols", "_r")
+    # _inv, set by the first successful inverse(), memoizes it
+    __slots__ = ("rows", "cols", "_r", "_inv")
 
     def __init__(self, entries: Sequence[Sequence]):
         if not entries or not entries[0]:
@@ -121,12 +124,20 @@ class Matrix:
     # -- algebra -------------------------------------------------------------
 
     def __add__(self, other: "Matrix") -> "Matrix":
+        return self._merge(other, operator.add)
+
+    def __sub__(self, other: "Matrix") -> "Matrix":
+        return self._merge(other, operator.sub)
+
+    def _merge(self, other: "Matrix", op) -> "Matrix":
+        """Entrywise ``op(self, other)``, with ``op`` addition or
+        subtraction, in one pass over the nonzero entries of ``other``."""
         self._check_shape(other)
         out = dict(self._r)
         for i, row in other._r.items():
             acc = dict(out.get(i, _EMPTY))
             for j, x in row.items():
-                v = acc.pop(j, ZERO) + x
+                v = op(acc.pop(j, ZERO), x)
                 if not v.is_zero():
                     acc[j] = v
             if acc:
@@ -134,9 +145,6 @@ class Matrix:
             else:
                 out.pop(i, None)
         return _of(self.rows, self.cols, out)
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        return self + (-other)
 
     def __neg__(self) -> "Matrix":
         return _of(self.rows, self.cols,
@@ -296,7 +304,14 @@ class Matrix:
 
     def inverse(self) -> "Matrix":
         """A^{-1}, read off the kernel of [A | I], which is spanned by the
-        columns of [-A^{-1} ; I] exactly when A is invertible."""
+        columns of [-A^{-1} ; I] exactly when A is invertible.
+
+        The inverse is kept on the instance, which is immutable, so every
+        caller that inverts one metric (``hodge_star``, ``levi_civita``)
+        shares one elimination."""
+        inv = getattr(self, "_inv", None)
+        if inv is not None:
+            return inv
         if self.rows != self.cols:
             raise ValueError("inverse of a non-square matrix")
         n = self.rows
@@ -305,7 +320,9 @@ class Matrix:
         basis = aug.kernel()
         if any(tuple(x[n:]) != eye.row(i) for i, x in enumerate(basis)):
             raise ZeroDivisionError("matrix is singular")
-        return Matrix.from_columns([[-y for y in x[:n]] for x in basis])
+        inv = Matrix.from_columns([[-y for y in x[:n]] for x in basis])
+        _set(self, "_inv", inv)
+        return inv
 
     def solve(self, rhs: Sequence) -> list[Scalar]:
         return self.inverse().apply(rhs)

@@ -158,6 +158,24 @@ def plain_gauss_rank(m: Matrix) -> int:
     return r
 
 
+def oracle_levi_civita(algebra: AlmostAbelianAlgebra, metric: Matrix) -> list:
+    """nabla_{f_i} as dense lists from the Koszul formula summed over every
+    index triple, 2 g(nabla_i f_j, f_k) = g([f_i, f_j], f_k)
+    - g([f_j, f_k], f_i) + g([f_k, f_i], f_j), brackets read one pair at a
+    time; independent of the library's nonzero-bracket scatter."""
+    n = algebra.n
+    ginv = metric.inverse()
+    gb = [[metric.apply(algebra.bracket(i + 1, j + 1)) for j in range(n)] for i in range(n)]
+    half = Scalar(Fraction(1, 2))
+    out = []
+    for i in range(n):
+        rhs = Matrix.from_columns(
+            [[half * (gb[i][j][k] - gb[j][k][i] + gb[k][i][j]) for k in range(n)]
+             for j in range(n)])
+        out.append((ginv @ rhs).tolist())
+    return out
+
+
 def oracle_nabla_r(conn) -> dict:
     """Every (nabla_z R)(f_x, f_y), x < y, as dense lists, from the
     definitions alone: R(f_i, f_j) = [nabla_i, nabla_j] - nabla_{[f_i, f_j]}

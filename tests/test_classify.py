@@ -1,4 +1,6 @@
+import math
 import random
+import tracemalloc
 from itertools import permutations, product
 
 import pytest
@@ -27,6 +29,7 @@ from g2aa.classify import (
     rotation_block,
     shape_24,
     structure_matrix,
+    sweep_sample,
     table1_diff,
     witness_block_matrix,
 )
@@ -264,6 +267,34 @@ def test_report_matches_pipeline_sampled():
         assert closed.hol_dim == direct.hol_dim
         assert closed.locally_symmetric == direct.locally_symmetric
         assert closed.flat == direct.flat
+
+
+def _listed_sample(bound, count):
+    """The sample as indices into the whole grid in lexicographic order,
+    read off one pass over the grid instead of a list of it."""
+    axes = [(-1, 0, 1)] + [range(-bound, bound + 1)] * 8
+    size = math.prod(len(a) for a in axes)
+    wanted = range(size) if count >= size else {k * size // count for k in range(count)}
+    return [NilpotentParallelParams.of(t[0], [t[1:3], t[3:5]], t[5:7], t[7:9])
+            for i, t in enumerate(product(*axes)) if i in wanted]
+
+
+@pytest.mark.parametrize("bound, counts", [(0, (1, 2, 3, 7)), (1, (1, 5, 13, 4000)),
+                                           (2, (1, 3, 500))])
+def test_sweep_sample_decodes_the_listed_grid(bound, counts):
+    for count in counts:
+        assert list(sweep_sample(bound, count)) == _listed_sample(bound, count)
+
+
+def test_sweep_sample_builds_no_grid():
+    tracemalloc.start()
+    try:
+        points = list(sweep_sample(3, 5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [p.delta for p in points] == [-1, -1, 0, 0, 1]
+    assert peak < 1 << 20
 
 
 # -- decisions -------------------------------------------------------------------------

@@ -98,6 +98,11 @@ def test_rejects_inputs_outside_the_domain(tmp_path, capsys):
     # degenerate mode
     assert main(["certify", "--form", "phi_plus", "--tol", "0"]) == EXIT_DOMAIN
     assert "tolerance must be positive" in capsys.readouterr().err
+    # nan and inf would accept any float fallback, such as that of 2 phi_-
+    two_phi = write_form(tmp_path, phi_model(-1).scale(2), "two_phi.json")
+    for tol in ("nan", "inf"):
+        assert main(["certify", "--form", two_phi, "--tol", tol]) == EXIT_DOMAIN
+        assert "tolerance must be positive and finite" in capsys.readouterr().err
     assert main(["decide", "--input", zero, "--kind", "parallel",
                  "--mode", "g2star_deg"]) == EXIT_DOMAIN
     assert "non-degenerate modes only" in capsys.readouterr().err

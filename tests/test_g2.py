@@ -30,7 +30,7 @@ from g2aa.g2 import (
     witt_star_phi,
 )
 from g2aa.linalg import Matrix
-from g2aa.scalars import ONE, SQRT2, Scalar
+from g2aa.scalars import ONE, SQRT2, DomainError, Scalar
 
 from conftest import oracle_bilinear_form, random_form, random_matrix, random_unimodular
 
@@ -216,6 +216,35 @@ def test_certify_witt_form():
     assert s.metric.signature() == (3, 4, 0)
     assert s.vol.coefficient(1, 2, 3, 4, 5, 6, 7) == Scalar(Fraction(-1, 2))
     assert s.star_phi() == witt_star_phi()
+
+
+def test_star_phi_is_computed_once_per_structure(monkeypatch):
+    import g2aa.g2 as g2
+
+    calls = []
+    original = g2.hodge_star
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(g2, "hodge_star", counted)
+    s = certify_g2(phi_model(-1))
+    fresh = dataclasses.replace(s)  # the certify cache may hold a warm memo
+    star = fresh.star_phi()
+    assert fresh.star_phi() is star and len(calls) == 1
+    assert star == s.star_phi()
+    # the memo is not a field: equality and hashing see the form only
+    assert fresh == s and hash(fresh) == hash(s)
+    assert "_star_phi" not in repr(fresh)
+
+
+def test_tolerance_must_be_positive_and_finite():
+    phi = phi_model(-1).scale(2)  # certified through the float fallback
+    assert not certify_g2(phi).is_exact
+    for tol in (0, -1e-9, float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(DomainError, match="positive and finite"):
+            certify_g2(phi, tol=tol)
 
 
 def test_certify_builds_no_action_matrix(monkeypatch):

@@ -21,7 +21,8 @@ from g2aa.liealg import AlmostAbelianAlgebra, differential
 from g2aa.linalg import Matrix
 from g2aa.scalars import ONE, ZERO, Scalar
 
-from conftest import oracle_holonomy, oracle_nabla_r, random_matrix, random_unimodular
+from conftest import (oracle_holonomy, oracle_levi_civita, oracle_nabla_r, random_matrix,
+                      random_scalar, random_unimodular)
 
 
 def example_a_algebra():
@@ -81,6 +82,29 @@ def test_levi_civita_torsion_and_metricity_random():
         g = random_metric(rng, n)
         conn = levi_civita(alg, g)
         _assert_torsion_free_and_metric(alg, g, conn)
+
+
+def random_dense_metric(rng, n):
+    """A non-degenerate symmetric metric with every entry drawn from
+    Q(sqrt2), fractional and sqrt2 parts included."""
+    while True:
+        entries = {}
+        for i in range(n):
+            for j in range(i, n):
+                entries[(i, j)] = entries[(j, i)] = random_scalar(rng, span=3)
+        g = Matrix.sparse(n, n, entries)
+        if not g.det().is_zero():
+            return g
+
+
+def test_levi_civita_equals_dense_koszul():
+    rng = random.Random(61)
+    for _ in range(24):
+        n = rng.choice([4, 5, 6, 7])
+        alg = AlmostAbelianAlgebra(n, random_matrix(rng, n - 1, span=3, sqrt2=True))
+        g = random_dense_metric(rng, n)
+        conn = levi_civita(alg, g)
+        assert [m.tolist() for m in conn.nabla] == oracle_levi_civita(alg, g)
 
 
 def _assert_torsion_free_and_metric(alg, g, conn):

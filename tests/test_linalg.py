@@ -87,6 +87,29 @@ def test_inverse_and_solve():
         Matrix([[1, 2, 0], [2, 4, 0], [0, 1, 1]]).inverse()
 
 
+def test_inverse_is_computed_once_per_instance(monkeypatch):
+    kernels = []
+    original = Matrix.kernel
+
+    def counted(self):
+        kernels.append(self.shape)
+        return original(self)
+
+    monkeypatch.setattr(Matrix, "kernel", counted)
+    m = Matrix([[2, 1, 0], [1, SQRT2, 0], [0, 0, Fraction(1, 3)]])
+    first = m.inverse()
+    assert m.inverse() is first and m.solve([1, 0, 0]) == list(first.column(0))
+    assert kernels == [(3, 6)]
+    # an equal but distinct instance keeps its own memo
+    assert Matrix(m.tolist()).inverse() == first and len(kernels) == 2
+    # a singular matrix is refused on every call, and nothing is kept
+    singular = Matrix([[1, 2], [2, 4]])
+    for _ in range(2):
+        with pytest.raises(ZeroDivisionError):
+            singular.inverse()
+    assert len(kernels) == 4
+
+
 def test_signature_examples():
     assert signature(Matrix.diagonal([-1, -1, -1, -1, 1, 1, 1])) == (3, 4, 0)
     assert signature(Matrix.zero(5)) == (0, 0, 5)
