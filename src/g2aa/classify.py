@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 from typing import Callable
 
 from .exterior import KForm, gl_action
@@ -567,20 +567,12 @@ TABLE1_EXPECTED: tuple[TableRow, ...] = (
 )
 
 
-def _grid_point(t: tuple) -> NilpotentParallelParams:
-    delta, b11, b12, b21, b22, v1, v2, w1, w2 = t
-    return NilpotentParallelParams.of(delta, [[b11, b12], [b21, b22]], (v1, v2), (w1, w2))
-
-
-def _grid(bound: int):
-    vals = range(-bound, bound + 1)
-    return product((-1, 0, 1), *[vals] * 8)
-
-
 def sweep_parameter_grid(bound: int = 1):
     """Deterministic grid over the nilpotent degenerate family, in the
     lexicographic order of (delta, B, v, w)."""
-    return map(_grid_point, _grid(bound))
+    if bound < 0:
+        raise DomainError(f"a grid needs bound >= 0, not {bound}")
+    return _grid_points(bound, range(_grid_size(bound)))
 
 
 def sweep_sample(bound: int, count: int):
@@ -590,20 +582,30 @@ def sweep_sample(bound: int, count: int):
     if bound < 0 or count < 1:
         raise DomainError(f"a sweep needs bound >= 0 and at least one point, "
                           f"not bound {bound} and {count} points")
-    size = 3 * (2 * bound + 1) ** 8
+    size = _grid_size(bound)
     picks = range(size) if count >= size else (k * size // count for k in range(count))
-    return (_grid_point(_grid_at(bound, k)) for k in picks)
+    return _grid_points(bound, picks)
 
 
-def _grid_at(bound: int, index: int) -> tuple:
-    """Point ``index`` of ``_grid(bound)``, decoded in mixed radix: delta is
-    the leading digit, in base 3, then eight digits in base 2 * bound + 1."""
+# The grid's layout: delta in (-1, 0, 1) is the leading digit, in base 3, then
+# the eight entries of (B, v, w), each a digit in base 2 * bound + 1.  Points
+# are decoded from their index, so no part of the grid is ever listed.
+
+
+def _grid_size(bound: int) -> int:
+    return 3 * (2 * bound + 1) ** 8
+
+
+def _grid_points(bound: int, indices):
     radix = 2 * bound + 1
-    digits = []
-    for _ in range(8):
-        index, d = divmod(index, radix)
-        digits.append(d - bound)
-    return ((-1, 0, 1)[index], *reversed(digits))
+    for index in indices:
+        digits = []
+        for _ in range(8):
+            index, d = divmod(index, radix)
+            digits.append(d - bound)
+        b11, b12, b21, b22, v1, v2, w1, w2 = reversed(digits)
+        yield NilpotentParallelParams.of((-1, 0, 1)[index], [[b11, b12], [b21, b22]],
+                                         (v1, v2), (w1, w2))
 
 
 def regenerate_table1(bound: int = 1) -> list[TableRow]:

@@ -11,13 +11,17 @@ the certification test.  Writing B = c * g with c the real ninth root of
 det(B), the metric g has signature (7,0) (compact case, eps = -1) or
 (3,4) (split case, eps = +1), and the metric volume is c * e^{1...7}.
 
-Certification is memoized per form in a cache of 32 entries, sized to the
-measured traffic: ``g2aa reproduce all`` certifies one distinct form (122
-cache hits), a sweep one, and report runs never repeat a form.  A certified
-structure computes its ``star_phi()`` once and keeps it, and its metric
-keeps its inverse, so the Hodge star and the Levi-Civita connection share
-one elimination; these memos hold about 8.5 KB per structure of a report,
-which the small cache bounds.
+Certification is memoized per form in a cache of 32 entries.  The
+package's own traffic needs one: ``g2aa reproduce all`` certifies one
+distinct form (122 cache hits), a sweep one, and report runs never repeat
+a form.  The size is picked to bound memory, not derived from that
+traffic: a certified structure computes its ``star_phi()`` once and keeps
+it, and its metric keeps its inverse, so the Hodge star and the
+Levi-Civita connection share one elimination.  These memos hold about
+8.5 KB per structure of a report, so 32 entries keep at most about 270 KB
+while leaving room for a library caller that alternates among a few forms.
+Measured on the report benchmark, peak RSS went from 28.2 to 29.7 MB with
+the memos and 256 entries, and to about 27 MB with 32.
 """
 
 from __future__ import annotations

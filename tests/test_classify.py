@@ -29,6 +29,7 @@ from g2aa.classify import (
     rotation_block,
     shape_24,
     structure_matrix,
+    sweep_parameter_grid,
     sweep_sample,
     table1_diff,
     witness_block_matrix,
@@ -284,6 +285,11 @@ def _listed_sample(bound, count):
 def test_sweep_sample_decodes_the_listed_grid(bound, counts):
     for count in counts:
         assert list(sweep_sample(bound, count)) == _listed_sample(bound, count)
+
+
+@pytest.mark.parametrize("bound", [0, 1])
+def test_sweep_parameter_grid_is_the_listed_grid(bound):
+    assert list(sweep_parameter_grid(bound)) == _listed_sample(bound, 3 * (2 * bound + 1) ** 8)
 
 
 def test_sweep_sample_builds_no_grid():
