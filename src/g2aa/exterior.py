@@ -17,7 +17,7 @@ from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
 from .linalg import Matrix
-from .scalars import ONE, ZERO, Scalar, as_scalar
+from .scalars import ONE, ZERO, Scalar, as_scalar, json_int, json_scalar
 
 
 class DimensionMismatchError(ValueError):
@@ -187,8 +187,9 @@ class KForm:
 
     @staticmethod
     def from_json_dict(data: dict) -> "KForm":
-        terms = {tuple(t["idx"]): Scalar.from_string(str(t["coef"])) for t in data["terms"]}
-        return KForm(int(data["dim"]), int(data["degree"]), terms)
+        terms = {tuple(json_int(i, "form index") for i in t["idx"]):
+                 json_scalar(t["coef"], "coefficient") for t in data["terms"]}
+        return KForm(json_int(data["dim"], "dim"), json_int(data["degree"], "degree"), terms)
 
     @staticmethod
     def from_json(text: str) -> "KForm":

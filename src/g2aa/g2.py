@@ -261,25 +261,38 @@ def ninth_root(d: Scalar) -> Scalar | None:
         # (t*sqrt2)^9 = 16 sqrt2 t^9
         r = _rational_ninth_root(d.b / 16)
         return None if r is None else Scalar(0, r)
-    # general element: reconstruct from the two real embeddings and verify
+    # general element d = a + b sqrt2, root x = u + v sqrt2.  With m the
+    # common denominator of a and b, (m x)^9 = m^8 (m d) is integral, so m x
+    # lies in Z[sqrt2], the integers of Q(sqrt2): m u and m v are the
+    # integers nearest to m (r+ + r-) / 2 and m (r+ - r-) / (2 sqrt2), r+-
+    # the real ninth roots of the embeddings a +- b sqrt2.  The larger
+    # embedding is summed without cancellation and the smaller is the exact
+    # norm a^2 - 2 b^2 over it, so both carry a relative error near
+    # 2^-prec; prec covers the bits of m and of the roots with a margin.
     import mpmath
+
+    a, b = d.a, d.b
+    m = math.lcm(a.denominator, b.denominator)
+    top = max(abs(a.numerator), abs(b.numerator)).bit_length()
+    prec = m.bit_length() + top // 9 + 40
 
     def real_ninth(x):
         return mpmath.sign(x) * mpmath.root(abs(x), 9)
 
-    with mpmath.workdps(60):
+    def mpq(f: Fraction):
+        return mpmath.mpf(f.numerator) / f.denominator
+
+    with mpmath.workprec(prec):
         s2 = mpmath.sqrt(2)
-        ea = mpmath.mpf(d.a.numerator) / d.a.denominator
-        eb = mpmath.mpf(d.b.numerator) / d.b.denominator
-        r_plus = real_ninth(ea + s2 * eb)
-        r_minus = real_ninth(ea - s2 * eb)
-        u = Fraction(mpmath.nstr((r_plus + r_minus) / 2, 40))
-        v = Fraction(mpmath.nstr((r_plus - r_minus) / (2 * s2), 40))
-    for bound in (10**3, 10**6, 10**12, 10**18):
-        cand = Scalar(u.limit_denominator(bound), v.limit_denominator(bound))
-        if cand**9 == d:
-            return cand
-    return None
+        same = (a > 0) == (b > 0)
+        large = mpq(a) + s2 * mpq(b if same else -b)
+        small = mpq(a * a - 2 * b * b) / large
+        e_plus, e_minus = (large, small) if same else (small, large)
+        r_plus, r_minus = real_ninth(e_plus), real_ninth(e_minus)
+        mu = int(mpmath.nint(m * (r_plus + r_minus) / 2))
+        mv = int(mpmath.nint(m * (r_plus - r_minus) / (2 * s2)))
+    cand = Scalar(Fraction(mu, m), Fraction(mv, m))
+    return cand if cand**9 == d else None
 
 
 def _detect_frame_kind(metric: Matrix, eps: int) -> str:

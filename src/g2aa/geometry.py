@@ -15,11 +15,22 @@ The algebra is almost abelian, so the connection and the curvature are
 built from the nonzero brackets [f_n, f_j] = A f_j only (see ``levi_civita``
 and ``curvature``).  The inverse metric is the one ``Matrix.inverse`` keeps
 on the metric, which the Hodge star of the same certified structure shares.
+
+Lowered coordinates.  The connection keeps the Christoffel matrices
+Gamma_z = g nabla_z, which are skew, and for z < n-1 nonzero only in the
+last row and column.  An endomorphism h is g-skew when g h is
+antisymmetric; every R(f_x, f_y), every holonomy element and every
+(nabla_z R)(f_x, f_y) is.  Such an h is stored as the n(n-1)/2 strict upper
+entries of g h (``_upper``), which h -> g h maps injectively.  For g-skew h,
+g [nabla_z, h] = Gamma_z h - (Gamma_z h)^T, so one sparse product
+Gamma_z h gives the lowered derivative; ``_raise`` returns to
+h = g^{-1} (u - u^T).  The curvature, the holonomy closure and the nabla R
+test work on these coordinates.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .exterior import DegenerateMetricError, KForm, gl_action
 from .liealg import AlmostAbelianAlgebra
@@ -29,11 +40,14 @@ from .scalars import HALF, ZERO, Scalar
 
 @dataclass(frozen=True)
 class ConnectionTable:
-    """nabla_{f_i} as matrices: column j of ``nabla[i]`` is nabla_{f_i} f_j."""
+    """nabla_{f_i} as matrices: column j of ``nabla[i]`` is nabla_{f_i} f_j.
+    ``christoffel[i]`` is Gamma_i = g nabla_i, with (k, j) entry
+    g(nabla_{f_i} f_j, f_k); it is skew because the connection is metric."""
 
     algebra: AlmostAbelianAlgebra
     metric: Matrix
     nabla: tuple[Matrix, ...]
+    christoffel: tuple[Matrix, ...] = field(compare=False, repr=False)
 
 
 @dataclass
@@ -48,6 +62,9 @@ class CurvatureReport:
     hol_dim: int | None = None
     is_locally_symmetric: bool | None = None
     hol_annihilates_phi: bool | None = None
+    # lowered coordinates (see ``_upper``) of R(f_i, f_j), i < j
+    lowered: dict[tuple[int, int], dict[int, Scalar]] = field(
+        default_factory=dict, compare=False, repr=False)
 
     def r_of(self, i: int, j: int) -> Matrix:
         """R(f_i, f_j) for arbitrary 0-based index order."""
@@ -62,12 +79,13 @@ def levi_civita(algebra: AlmostAbelianAlgebra, metric: Matrix) -> ConnectionTabl
     """Levi-Civita connection of an exact left-invariant metric, built from
     the nonzero brackets only.
 
-    With T[a][b][c] = g([f_a, f_b], f_c), column j of nabla_i is g^{-1}
-    applied to half the Koszul vector K_i[j][k] = T[i][j][k] - T[j][k][i]
-    + T[k][i][j].  The only nonzero brackets are [f_n, f_j] = -[f_j, f_n]
-    = A f_j for j < n, so the only nonzero T are T[n][j][c] = -T[j][n][c]
-    = (g A)[c][j]; each nonzero entry of g A enters the three Koszul terms
-    once with each sign, and every other term is zero."""
+    With T[a][b][c] = g([f_a, f_b], f_c), the (k, j) entry of Gamma_i is
+    half the Koszul sum K_i[j][k] = T[i][j][k] - T[j][k][i] + T[k][i][j],
+    and nabla_i = g^{-1} Gamma_i.  The only nonzero brackets are
+    [f_n, f_j] = -[f_j, f_n] = A f_j for j < n, so the only nonzero T are
+    T[n][j][c] = -T[j][n][c] = (g A)[c][j]; each nonzero entry of g A enters
+    the three Koszul terms once with each sign, and every other term is
+    zero."""
     n = algebra.n
     if metric.rows != n or metric.cols != n:
         raise ValueError("metric size must match the algebra dimension")
@@ -79,7 +97,7 @@ def levi_civita(algebra: AlmostAbelianAlgebra, metric: Matrix) -> ConnectionTabl
         raise DegenerateMetricError("metric is degenerate") from exc
     last = n - 1
     ga = metric @ Matrix.sparse(n, n, dict(algebra.ad_matrix.items()))
-    # half_k[i][(k, j)] = K_i[j][k] / 2, the (k, j) entry of g nabla_i
+    # half_k[i][(k, j)] = K_i[j][k] / 2, the (k, j) entry of Gamma_i
     half_k: list[dict[tuple[int, int], Scalar]] = [{} for _ in range(n)]
     for (c, j), x in ga.items():
         h = HALF * x
@@ -88,25 +106,71 @@ def levi_civita(algebra: AlmostAbelianAlgebra, metric: Matrix) -> ConnectionTabl
             for i, key in slots:
                 v = half_k[i].get(key)
                 half_k[i][key] = y if v is None else v + y
-    nabla = tuple(ginv @ Matrix.sparse(n, n, k) for k in half_k)
-    return ConnectionTable(algebra, metric, nabla)
+    christoffel = tuple(Matrix.sparse(n, n, k) for k in half_k)
+    nabla = tuple(ginv @ m for m in christoffel)
+    return ConnectionTable(algebra, metric, nabla, christoffel)
+
+
+def _upper(p: Matrix) -> dict[int, Scalar]:
+    """The strict upper entries of p - p^T, as {a n + b: entry} for a < b:
+    the lowered coordinates of the g-skew g^{-1} (p - p^T).  Zero entries
+    may remain."""
+    n = p.rows
+    out: dict[int, Scalar] = {}
+    for (a, b), x in p.items():
+        if a < b:
+            k = a * n + b
+            v = out.get(k)
+            out[k] = x if v is None else v + x
+        elif a > b:
+            k = b * n + a
+            v = out.get(k)
+            out[k] = -x if v is None else v - x
+    return out
+
+
+def _sub_scaled(u: dict[int, Scalar], c: Scalar, w: dict[int, Scalar]):
+    """u <- u - c w, in place, on lowered coordinates."""
+    for k, x in w.items():
+        v = u.get(k)
+        u[k] = -c * x if v is None else v - c * x
+
+
+def _raise(conn: ConnectionTable, u: dict[int, Scalar]) -> Matrix:
+    """The g-skew endomorphism g^{-1} (u - u^T) with lowered coordinates u."""
+    n = conn.algebra.n
+    skew = {}
+    for k, x in u.items():
+        a, b = divmod(k, n)
+        skew[(a, b)] = x
+        skew[(b, a)] = -x
+    return conn.metric.inverse() @ Matrix.sparse(n, n, skew)
 
 
 def curvature(conn: ConnectionTable) -> CurvatureReport:
-    """Curvature endomorphisms and the Ricci form.  The term
-    -nabla_{[f_i, f_j]} subtracts c nabla_k for the nonzero bracket
-    coefficients c only."""
+    """Curvature endomorphisms and the Ricci form, built lowered.
+
+    g R(f_i, f_j) = Gamma_i nabla_j - Gamma_j nabla_i - sum_k c_k Gamma_k,
+    and Gamma_j nabla_i = (Gamma_i nabla_j)^T (both Gamma are skew and
+    nabla = g^{-1} Gamma), so one product Gamma_i nabla_j gives the lowered
+    coordinates, from which each R is raised once.  The bracket term
+    subtracts c Gamma_k for the nonzero bracket coefficients c only."""
     algebra = conn.algebra
     n = algebra.n
     nabla = conn.nabla
+    upper_gamma = [{a * n + b: x for (a, b), x in m.items() if a < b}
+                   for m in conn.christoffel]
     r: dict[tuple[int, int], Matrix] = {}
+    lowered: dict[tuple[int, int], dict[int, Scalar]] = {}
     for i in range(n):
         for j in range(i + 1, n):
-            rij = nabla[i].commutator(nabla[j])
+            u = _upper(conn.christoffel[i] @ nabla[j])
             for k, c in enumerate(algebra.bracket(i + 1, j + 1)):
                 if not c.is_zero():
-                    rij = rij - c * nabla[k]
-            r[(i, j)] = rij
+                    _sub_scaled(u, c, upper_gamma[k])
+            u = {k: x for k, x in u.items() if not x.is_zero()}
+            lowered[(i, j)] = u
+            r[(i, j)] = _raise(conn, u)
     # Ric(f_i, f_j) = sum_k R(f_k, f_i)[k, j]: R(f_a, f_b) enters row b
     # through its row a, and row a, negated, through its row b
     ric: dict[tuple[int, int], Scalar] = {}
@@ -117,7 +181,7 @@ def curvature(conn: ConnectionTable) -> CurvatureReport:
             ric[(a, j)] = ric.get((a, j), ZERO) - x
     ricci = Matrix.sparse(n, n, ric)
     is_flat = all(m.is_zero() for m in r.values())
-    return CurvatureReport(r, ricci, is_flat, ricci.is_zero())
+    return CurvatureReport(r, ricci, is_flat, ricci.is_zero(), lowered=lowered)
 
 
 def endo_derivative(conn: ConnectionTable, z: int, t: Matrix) -> Matrix:
@@ -131,17 +195,24 @@ def _nabla_r(conn: ConnectionTable, report: CurvatureReport, triples):
         (nabla_z R)(f_x, f_y) = [nabla_z, R(f_x, f_y)]
                                 - R(nabla_z f_x, f_y) - R(f_x, nabla_z f_y),
 
-    yielding ((z, x, y), value) lazily for each triple, so that a caller
-    can stop at the first nonzero value.  Only the nonzero entries of the
+    yielding ((z, x, y), u) lazily for each triple, u the nonzero lowered
+    coordinates of the value, so that a caller can stop at the first
+    nonzero value.  The first term is _upper(Gamma_z R(f_x, f_y)), the
+    others subtract lowered curvatures; only the nonzero entries of the
     columns nabla_z f_x and nabla_z f_y are walked."""
     cols = [m.transpose() for m in conn.nabla]  # row x of cols[z] is nabla_z f_x
+
+    def sub(u, c, p, q):  # u <- u - c * lowered R(f_p, f_q)
+        if p != q:
+            _sub_scaled(u, c if p < q else -c, report.lowered[(min(p, q), max(p, q))])
+
     for z, x, y in triples:
-        out = endo_derivative(conn, z, report.r_of(x, y))
+        u = _upper(conn.christoffel[z] @ report.r_of(x, y))
         for a, c in cols[z].row_items(x):
-            out = out - c * report.r_of(a, y)
+            sub(u, c, a, y)
         for a, c in cols[z].row_items(y):
-            out = out - c * report.r_of(x, a)
-        yield (z, x, y), out
+            sub(u, c, x, a)
+        yield (z, x, y), {k: v for k, v in u.items() if not v.is_zero()}
 
 
 def _curved_triples(conn: ConnectionTable, report: CurvatureReport) -> list:
@@ -164,7 +235,7 @@ def _curved_triples(conn: ConnectionTable, report: CurvatureReport) -> list:
 def nabla_r_full(conn: ConnectionTable, report: CurvatureReport,
                  z: int, x: int, y: int) -> Matrix:
     """Full tensor derivative (nabla_z R)(f_x, f_y)."""
-    return next(_nabla_r(conn, report, [(z, x, y)]))[1]
+    return _raise(conn, next(_nabla_r(conn, report, [(z, x, y)]))[1])
 
 
 @dataclass(frozen=True)
@@ -182,14 +253,15 @@ def nabla_r(conn: ConnectionTable, report: CurvatureReport) -> NablaRData:
     keys = [(z, x, y) for z in range(conn.algebra.n) for (x, y) in report.r]
     endo = {k: endo_derivative(conn, k[0], report.r[k[1:]]) for k in keys}
     full = dict.fromkeys(keys, Matrix.zero(conn.algebra.n))
-    full.update(_nabla_r(conn, report, _curved_triples(conn, report)))
+    full.update((k, _raise(conn, u))
+                for k, u in _nabla_r(conn, report, _curved_triples(conn, report)))
     return NablaRData(endo, full, all(m.is_zero() for m in full.values()))
 
 
 def is_locally_symmetric(conn: ConnectionTable, report: CurvatureReport) -> bool:
     """Early-exit check that the full nabla R vanishes."""
     triples = _curved_triples(conn, report)
-    return all(m.is_zero() for _, m in _nabla_r(conn, report, triples))
+    return not any(u for _, u in _nabla_r(conn, report, triples))
 
 
 def holonomy_algebra(conn: ConnectionTable, report: CurvatureReport) -> list[Matrix]:
@@ -200,23 +272,32 @@ def holonomy_algebra(conn: ConnectionTable, report: CurvatureReport) -> list[Mat
     of a g-skew endomorphism is g-skew: the span lies in so(g), and the
     closure stops once it holds dim so(g) = n(n-1)/2 independent elements.
     Every round but the last adds at least one independent element, so the
-    loop ends within n(n-1)/2 + 1 rounds."""
+    loop ends within n(n-1)/2 + 1 rounds.
+
+    The span test reads a candidate's lowered coordinates, which h -> g h
+    maps injectively, so the basis keeps the same elements in the same
+    order as on the endomorphisms themselves.  A derivative [nabla_z, h]
+    costs one sparse product Gamma_z h and is built as a matrix only when
+    it is kept."""
     n = conn.algebra.n
     full = n * (n - 1) // 2
     echelon = Echelon()
     basis: list[Matrix] = []
-    candidates = report.r.values()
+    # (lowered coordinates, z, h): the candidate is h when z is None, else [nabla_z, h]
+    candidates = ((report.lowered[k], None, m) for k, m in report.r.items())
     while True:
         frontier = []
-        for m in candidates:
-            if echelon.add({i * n + j: x for (i, j), x in m.items()}):
+        for u, z, h in candidates:
+            if echelon.add(u):
+                m = h if z is None else endo_derivative(conn, z, h)
                 basis.append(m)
                 if len(basis) == full:
                     return basis
                 frontier.append(m)
         if not frontier:
             return basis
-        candidates = (endo_derivative(conn, z, m) for m in frontier for z in range(n))
+        candidates = ((_upper(conn.christoffel[z] @ m), z, m)
+                      for m in frontier for z in range(n))
 
 
 def annihilates(phi: KForm, endos: list[Matrix]) -> bool:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .exterior import KForm, gl_action, wedge
 from .linalg import Matrix
-from .scalars import ZERO, Scalar
+from .scalars import ZERO, Scalar, json_int, json_scalar
 
 
 class NonNilpotentError(ValueError):
@@ -70,7 +70,8 @@ class AlmostAbelianAlgebra:
 
     @staticmethod
     def from_json_dict(data: dict) -> "AlmostAbelianAlgebra":
-        return AlmostAbelianAlgebra(int(data["n"]), Matrix(data["ad"]))
+        rows = [[json_scalar(x, "ad entry") for x in row] for row in data["ad"]]
+        return AlmostAbelianAlgebra(json_int(data["n"], "n"), Matrix(rows))
 
     @staticmethod
     def from_json(text: str) -> "AlmostAbelianAlgebra":

@@ -264,6 +264,24 @@ def as_scalar(x) -> Scalar:
     return s
 
 
+def json_int(x, what: str) -> int:
+    """An integer field of a JSON document.  JSON true/false and numbers
+    with a fraction part or an exponent are refused, not truncated."""
+    if type(x) is not int:
+        raise DomainError(f"{what} must be an integer, not {x!r}")
+    return x
+
+
+def json_scalar(x, what: str) -> Scalar:
+    """A scalar field of a JSON document: a string in the format of
+    ``Scalar.__str__`` or an integer.  JSON true/false and numbers with a
+    fraction part or an exponent, which a float may not hold exactly, are
+    refused."""
+    if type(x) is not int and not isinstance(x, str):
+        raise DomainError(f"{what} must be a string or an integer, not {x!r}")
+    return as_scalar(x)
+
+
 ZERO = Scalar(0)
 ONE = Scalar(1)
 SQRT2 = Scalar(0, 1)

@@ -135,6 +135,30 @@ def test_rejects_inputs_outside_the_domain(tmp_path, capsys):
         (["report", "--input", diag, "--form", coef], "malformed scalar '1/0'"),
         (["certify", "--form", index], "out of range 1..7"),
     ]
+    # JSON values of the wrong type are refused, not truncated or read as 0/1
+    ad = [["0"] * 6 for _ in range(6)]
+    for name, doc, reason in (
+            ("n_float", {"n": 7.6, "ad": ad}, "n must be an integer, not 7.6"),
+            ("n_bool", {"n": True, "ad": ad}, "n must be an integer, not True"),
+            ("ad_bool", {"n": 7, "ad": [[True] + row[1:] for row in ad]},
+             "ad entry must be a string or an integer, not True"),
+            ("ad_float", {"n": 7, "ad": [[0.5] + row[1:] for row in ad]},
+             "ad entry must be a string or an integer, not 0.5")):
+        cases.append((["decide", "--input", write_text(tmp_path, f"{name}.json", json.dumps(doc)),
+                        "--mode", "g2"], reason))
+    for name, change, reason in (
+            ("dim_float", {"dim": 7.9}, "dim must be an integer, not 7.9"),
+            ("degree_bool", {"degree": True}, "degree must be an integer, not True"),
+            ("idx_bool", {"terms": [{"idx": [True, 2, 3], "coef": "1"}]},
+             "form index must be an integer, not True"),
+            ("idx_float", {"terms": [{"idx": [1.0, 2, 3], "coef": "1"}]},
+             "form index must be an integer, not 1.0"),
+            # a JSON float keeps only about 17 digits of what the file says
+            ("coef_float", {"terms": [{"idx": [1, 2, 3], "coef": 1234567890123456789.5}]},
+             "coefficient must be a string or an integer, not 1.2345678901234568e+18")):
+        doc = {"dim": 7, "degree": 3, "terms": [{"idx": [1, 2, 3], "coef": "1"}], **change}
+        cases.append((["certify", "--form", write_text(tmp_path, f"{name}.json", json.dumps(doc))],
+                      reason))
     for argv, reason in cases:
         assert main(argv) == EXIT_DOMAIN, argv
         captured = capsys.readouterr()
@@ -157,6 +181,52 @@ def test_report_example_a(tmp_path, capsys):
     assert payload["hol_annihilates_phi"] is False
     # JSON round-trips
     assert json.loads(json.dumps(payload)) == payload
+
+
+def test_decide_builds_no_geometry(tmp_path, monkeypatch, capsys):
+    # decisions rest on Segre partitions, stabilizer certificates and
+    # eigenvalue data: no connection is built and no form is certified
+    from g2aa import g2, geometry
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("decide reached geometry or certification")
+
+    monkeypatch.setattr(geometry, "levi_civita", refuse)
+    monkeypatch.setattr(g2, "_certify_cached", refuse)
+    nilpotent = [[0] * 6 for _ in range(6)]
+    nilpotent[0][1] = nilpotent[1][2] = 1
+    jordan = [[int(i == j) for j in range(6)] for i in range(6)]
+    jordan[0][1] = 1
+    spectrum = (1, 1, 2, 2, -3, -3)
+    diagonal = [[spectrum[i] * int(i == j) for j in range(6)] for i in range(6)]
+    paths = {name: write_text(tmp_path, f"{name}.json", json.dumps({"n": 7, "ad": ad}))
+             for name, ad in (("zero", [[0] * 6] * 6), ("nilpotent", nilpotent),
+                              ("jordan", jordan), ("diagonal", diagonal))}
+    runs = [
+        (["zero", "--mode", "g2"], "yes"),
+        (["nilpotent", "--mode", "g2"], "no"),
+        (["zero", "--kind", "parallel", "--mode", "g2star_33"], "yes"),
+        (["nilpotent", "--kind", "parallel", "--mode", "g2star_33"], "no"),
+        (["diagonal", "--mode", "g2", "--eigen", ",".join(map(str, spectrum))], "yes"),
+        (["jordan", "--mode", "g2"], "undecidable"),
+    ]
+    for (name, *argv), want in runs:
+        code = main(["decide", "--input", paths[name], *argv])
+        assert (code, capsys.readouterr().out) == (
+            EXIT_DOMAIN if want == "undecidable" else EXIT_OK, want + "\n"), name
+
+
+def test_report_exact_on_a_large_unit_determinant(tmp_path, capsys):
+    # the ninth root (1 + sqrt2)^60 is exact, so the report is exact too
+    from g2aa.exterior import pullback
+    from g2aa.liealg import AlmostAbelianAlgebra
+    from g2aa.linalg import Matrix
+
+    a = Matrix.diagonal([Scalar(1, 1) ** 60] + [1] * 6)
+    fpath = write_form(tmp_path, pullback(a, phi_model(-1)))
+    apath = write_algebra(tmp_path, AlmostAbelianAlgebra(7, Matrix.zero(6)))
+    assert main(["report", "--input", apath, "--form", fpath, "--format", "json"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["flat"] is True
 
 
 def test_report_rejects_float_metric(tmp_path, capsys):

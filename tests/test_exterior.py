@@ -1,6 +1,9 @@
 import random
+from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 from g2aa.exterior import (
     DegenerateMetricError,
@@ -152,6 +155,48 @@ def test_hodge_star_double_star_sign_law():
             st2 = hodge_star(hodge_star(a, g, VOL7), g, VOL7)
             expected = a.scale(det_sign * (-1) ** (k * (7 - k)))
             assert st2 == expected
+
+
+scalars = st.builds(lambda p, q, r, s: Scalar(Fraction(p, q), Fraction(r, s)),
+                    st.integers(-3, 3), st.integers(1, 3), st.integers(-3, 3), st.integers(1, 3))
+nonzero_scalars = scalars.filter(lambda x: not x.is_zero())
+
+
+@st.composite
+def mixed_metrics(draw, n):
+    """P^T D P with P an integer unimodular frame and D diagonal over
+    Q(sqrt2) with entries of both signs."""
+    mags = draw(st.lists(st.sampled_from((ONE, Scalar(2), Scalar(Fraction(1, 3)), Scalar(1, 1))),
+                         min_size=n, max_size=n))
+    signs = [1, -1] + draw(st.lists(st.sampled_from((1, -1)), min_size=n - 2, max_size=n - 2))
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    shears = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(-2, 2))
+    for i, j, c in draw(st.lists(shears, max_size=8)):
+        if i != j:
+            rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
+    frame = Matrix([rows[k] for k in draw(st.permutations(range(n)))])
+    d = Matrix.diagonal([m * sg for m, sg in zip(mags, signs)])
+    return frame.transpose() @ d @ frame
+
+
+@st.composite
+def forms(draw, n, k):
+    idx = draw(st.lists(st.sampled_from(list(combinations(range(1, n + 1), k))),
+                        min_size=1, max_size=4, unique=True))
+    return KForm(n, k, {i: draw(scalars) for i in idx})
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), n=st.integers(2, 6), v0=nonzero_scalars)
+def test_double_star_sign_law_on_mixed_signature_metrics(data, n, v0):
+    # star star alpha = (-1)^(k(n-k)) v0^2 / det g alpha for the volume v0 e^{1..n}
+    g = data.draw(mixed_metrics(n))
+    k = data.draw(st.integers(0, n))
+    a = data.draw(forms(n, k))
+    event(f"signature {g.signature()}")
+    vol = KForm(n, n, {tuple(range(1, n + 1)): v0})
+    factor = Scalar((-1) ** (k * (n - k))) * v0 * v0 * g.det().inverse()
+    assert hodge_star(hodge_star(a, g, vol), g, vol) == a.scale(factor)
 
 
 def test_hodge_star_rejects_degenerate_metric():

@@ -354,6 +354,28 @@ def test_ninth_root():
     big = 10**20 + 1
     assert ninth_root(Scalar(Fraction(-(big**9), 2**9))) == Scalar(Fraction(-big, 2))
     assert ninth_root(Scalar(big**9 + 1)) is None
+    # coefficients far beyond a fixed working precision
+    for x in (Scalar(10**41 + 7, 3), Scalar(1, 1) ** 60, Scalar(1, 1) ** 120):
+        assert ninth_root(x**9) == x
+    assert ninth_root(Scalar(10**41 + 7, 3) ** 9 + 1) is None
+
+
+big_rationals = st.builds(Fraction, st.integers(-10**60, 10**60), st.integers(1, 10**30))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(u=big_rationals, v=big_rationals, unit=st.integers(-40, 40))
+def test_ninth_root_round_trip(u, v, unit):
+    x = Scalar(u, v) * Scalar(1, 1) ** unit
+    assert ninth_root(x**9) == x
+
+
+def test_certify_exact_with_a_large_unit_determinant():
+    # det B = ((1 + sqrt2)^60)^9: its ninth root is exact, so no float fallback
+    a = Matrix.diagonal([Scalar(1, 1) ** 60] + [1] * 6)
+    s = certify_g2(pullback(a, phi_model(-1)))
+    assert s.is_exact and s.eps == -1
+    assert s.metric == a.transpose() @ adapted_metric(-1) @ a
 
 
 # -- Witt frame --------------------------------------------------------------------

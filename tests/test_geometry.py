@@ -2,10 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from g2aa.exterior import DegenerateMetricError, KForm, gl_action
 from g2aa.g2 import adapted_metric, certify_g2, witt_phi
 from g2aa.geometry import (
+    _raise,
+    _upper,
     analyze,
     annihilates,
     curvature,
@@ -97,14 +100,28 @@ def random_dense_metric(rng, n):
             return g
 
 
-def test_levi_civita_equals_dense_koszul():
+def _dense_cases(count):
+    """``count`` (algebra, metric) pairs with every entry of the ad-matrix
+    and of the metric drawn from Q(sqrt2)."""
     rng = random.Random(61)
-    for _ in range(24):
+    for _ in range(count):
         n = rng.choice([4, 5, 6, 7])
-        alg = AlmostAbelianAlgebra(n, random_matrix(rng, n - 1, span=3, sqrt2=True))
-        g = random_dense_metric(rng, n)
+        yield (AlmostAbelianAlgebra(n, random_matrix(rng, n - 1, span=3, sqrt2=True)),
+               random_dense_metric(rng, n))
+
+
+def test_levi_civita_equals_dense_koszul():
+    for alg, g in _dense_cases(24):
         conn = levi_civita(alg, g)
         assert [m.tolist() for m in conn.nabla] == oracle_levi_civita(alg, g)
+        # the Christoffel matrices Gamma_z = g nabla_z are skew, and for
+        # z < n-1 nonzero only in the last row and column
+        last = alg.n - 1
+        for z, (gamma, nab) in enumerate(zip(conn.christoffel, conn.nabla)):
+            assert gamma == g @ nab
+            assert gamma.transpose() == -gamma
+            if z < last:
+                assert all(last in key for key, _ in gamma.items())
 
 
 def _assert_torsion_free_and_metric(alg, g, conn):
@@ -353,3 +370,86 @@ def test_holonomy_matches_reference_closure_and_is_g_skew(nabla_r_cases):
             assert gh.transpose() == -gh
         dims.append(len(basis))
     assert dims[-4:] == [3, 5, 21, 21]
+
+
+# -- lowered coordinates -----------------------------------------------------
+
+
+def _strict_upper(m):
+    n = m.rows
+    return {a * n + b: x for (a, b), x in m.items() if a < b}
+
+
+def _nonzero(u):
+    return {k: x for k, x in u.items() if not x.is_zero()}
+
+
+def test_lowered_derivative_and_curvature_on_dense_metrics():
+    for alg, g in _dense_cases(3):
+        conn = levi_civita(alg, g)
+        rep = curvature(conn)
+        for key, r in rep.r.items():
+            assert rep.lowered[key] == _strict_upper(g @ r)
+            assert _raise(conn, rep.lowered[key]) == r
+            if r.is_zero():
+                continue
+            for z, gamma in enumerate(conn.christoffel):
+                want = _strict_upper(g @ endo_derivative(conn, z, r))
+                assert _nonzero(_upper(gamma @ r)) == want
+
+
+def _basis_change(draw, n=7):
+    """A = [[A_u, c], [0, 1]] with A_u a product of integer shears and a
+    row permutation (det = +-1) and c an integer shear of f_n."""
+    rows = [[int(i == j) for j in range(n - 1)] for i in range(n - 1)]
+    shears = st.tuples(st.integers(0, n - 2), st.integers(0, n - 2), st.integers(-2, 2))
+    for i, j, c in draw(st.lists(shears, max_size=8)):
+        if i != j:
+            rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
+    a_u = Matrix([rows[k] for k in draw(st.permutations(range(n - 1)))])
+    c = draw(st.lists(st.integers(-2, 2), min_size=n - 1, max_size=n - 1))
+    a = Matrix([list(a_u.row(i)) + [c[i]] for i in range(n - 1)] + [[0] * (n - 1) + [1]])
+    return a_u, a
+
+
+# Two more pairs (eps, ad0), with holonomy dimension 15 and 2 for the
+# adapted metric of phi_eps; the second is locally symmetric, not flat.
+HOLONOMY_15_AND_2_BASES = (
+    (-1, ((-1, 0, 0, 0, 0, 0), (0, 0, 0, 0, -1, 0), (0, 0, 0, 0, 0, 0),
+          (0, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 0), (0, 0, 0, -1, 0, 0))),
+    (1, ((0, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 0), (-1, 0, 0, 0, 0, 0),
+         (0, 0, 0, 0, 0, 0), (1, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 0))),
+)
+
+
+def _isometry_bases():
+    """Base pairs with holonomy dimension 3, 5, 21, 15, 2 and 1 (the last
+    two locally symmetric but not flat)."""
+    from g2aa.classify import NilpotentParallelParams, nilpotent_structure_matrix
+
+    g = witt_structure().metric
+    p = NilpotentParallelParams.of(1, [[1, 0], [0, -1]], (0, 0), (0, 0))
+    adapted = [(AlmostAbelianAlgebra(7, Matrix(ad0)), adapted_metric(eps))
+               for eps, ad0 in (HOLONOMY_21_BASES[0],) + HOLONOMY_15_AND_2_BASES]
+    return [(example_a_algebra(), g), (example_b_algebra(), g), *adapted,
+            (AlmostAbelianAlgebra(7, nilpotent_structure_matrix(p)), g)]
+
+
+def _facts(alg, g):
+    conn = levi_civita(alg, g)
+    rep = curvature(conn)
+    return (len(holonomy_algebra(conn, rep)), rep.is_flat, rep.is_ricci_flat,
+            is_locally_symmetric(conn, rep))
+
+
+@settings(max_examples=24, deadline=None, derandomize=True, database=None)
+@given(base=st.integers(0, 5), change=st.composite(_basis_change)())
+def test_holonomy_and_symmetry_invariant_under_isometric_basis_change(base, change):
+    # f'_j = sum_i A[i][j] f_i keeps u and f_n + u, so ad' = A_u^-1 ad A_u and
+    # g' = A^T g A is an isometric copy of the pair
+    alg, g = _isometry_bases()[base]
+    a_u, a = change
+    moved = AlmostAbelianAlgebra(7, a_u.inverse() @ alg.ad_matrix @ a_u)
+    facts = _facts(moved, a.transpose() @ g @ a)
+    assert facts == _facts(alg, g)
+    assert facts[0] == (3, 5, 21, 15, 2, 1)[base]

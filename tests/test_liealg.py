@@ -1,6 +1,9 @@
 import random
+from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from g2aa.exterior import KForm, wedge
 from g2aa.g2 import certify_g2, witt_phi
@@ -66,6 +69,26 @@ def test_d_squared_zero_and_leibniz():
         lhs = differential(alg, wedge(a, b))
         rhs = wedge(da, b) + wedge(a, differential(alg, b)).scale((-1) ** a.degree)
         assert lhs == rhs
+
+
+scalars = st.builds(lambda p, q, r, s: Scalar(Fraction(p, q), Fraction(r, s)),
+                    st.integers(-2, 2), st.integers(1, 3), st.integers(-2, 2), st.integers(1, 3))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), n=st.integers(3, 7))
+def test_d_squared_zero_on_random_algebras_and_forms(data, n):
+    ad = data.draw(st.lists(st.lists(scalars, min_size=n - 1, max_size=n - 1),
+                            min_size=n - 1, max_size=n - 1))
+    alg = AlmostAbelianAlgebra(n, Matrix(ad))
+    k = data.draw(st.integers(0, n - 2))
+    idx = data.draw(st.lists(st.sampled_from(list(combinations(range(1, n + 1), k))),
+                             min_size=1, max_size=5, unique=True))
+    a = KForm(n, k, {i: data.draw(scalars) for i in idx})
+    da = differential(alg, a)
+    assert da == oracle_differential(alg, a)
+    assert differential(alg, da).is_zero()
+    assert oracle_differential(alg, da).is_zero()
 
 
 def test_is_closed_equals_is_stabilized():
