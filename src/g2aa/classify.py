@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Callable
 
-from .exterior import KForm, gl_action
+from .exterior import KForm, gl_action, pullback
 from .g2 import (
     G2EpsStructure,
     certify_g2,
@@ -277,7 +277,7 @@ def build_instance(p: ParallelFamilyParams | NilpotentParallelParams) -> BuiltIn
     if p.family == "g2star_24":
         ad = shape_24(p.case, p.reals)
         conj = _CONJ_24[p.case]
-        phi = _pullback_structure(conj, phi_model(1))
+        phi = pullback(_extend_by_identity(conj), phi_model(1))
         return _verified_instance(ad, phi, "g2star_24", f"su(1,2) case {p.case}")
     if p.family == "g2star_33":
         block = p.block
@@ -290,12 +290,6 @@ def build_instance(p: ParallelFamilyParams | NilpotentParallelParams) -> BuiltIn
         ad = structure_matrix(p.a2, p.b2, p.v, p.w)
         return _verified_instance(ad, witt_phi(), "g2star_deg", "deg general")
     raise ValueError(f"unknown family {p.family!r}")
-
-
-def _pullback_structure(conj: Matrix, phi: KForm) -> KForm:
-    from .exterior import pullback
-
-    return pullback(_extend_by_identity(conj), phi)
 
 
 # -- nilpotent witnesses of the calibrated degenerate family ----------------------

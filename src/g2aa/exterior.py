@@ -17,7 +17,7 @@ from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
 from .linalg import Matrix
-from .scalars import ONE, ZERO, Scalar, as_scalar, json_int, json_scalar
+from .scalars import ONE, ZERO, DomainError, Scalar, as_scalar, json_int, json_scalar
 
 
 class DimensionMismatchError(ValueError):
@@ -187,8 +187,12 @@ class KForm:
 
     @staticmethod
     def from_json_dict(data: dict) -> "KForm":
-        terms = {tuple(json_int(i, "form index") for i in t["idx"]):
-                 json_scalar(t["coef"], "coefficient") for t in data["terms"]}
+        terms = {}
+        for t in data["terms"]:
+            idx = tuple(json_int(i, "form index") for i in t["idx"])
+            if idx in terms:
+                raise DomainError(f"form index {list(idx)} is repeated")
+            terms[idx] = json_scalar(t["coef"], "coefficient")
         return KForm(json_int(data["dim"], "dim"), json_int(data["degree"], "degree"), terms)
 
     @staticmethod

@@ -10,6 +10,8 @@ Bryant, "Some remarks on G2-structures", math/0305124), so det B != 0 is
 the certification test.  Writing B = c * g with c the real ninth root of
 det(B), the metric g has signature (7,0) (compact case, eps = -1) or
 (3,4) (split case, eps = +1), and the metric volume is c * e^{1...7}.
+``ninth_root`` finds c, or shows that it leaves Q(sqrt2), with integer
+arithmetic in Z[sqrt2]; only then does certification fall back to floats.
 
 Certification is memoized per form in a cache of 32 entries.  The
 package's own traffic needs one: ``g2aa reproduce all`` certifies one
@@ -228,70 +230,57 @@ def bilinear_volume_form(phi: KForm) -> Matrix:
     return Matrix.sparse(n, n, entries)
 
 
-def _integer_ninth_root(m: int) -> int | None:
-    if m < 0:
-        r = _integer_ninth_root(-m)
-        return None if r is None else -r
-    if m < 2:
-        return m
-    # integer Newton from above: x starts at 2^ceil(bits/9) >= m^(1/9) and
-    # decreases to floor(m^(1/9))
-    x = 1 << -(-m.bit_length() // 9)
+def _floor_ninth_root(n: int) -> int:
+    """floor(n^(1/9)) for an integer n >= 0."""
+    if n < 2:
+        return n
+    # integer Newton from above: x starts at 2^ceil(bits/9) >= n^(1/9) and
+    # decreases to floor(n^(1/9))
+    x = 1 << -(-n.bit_length() // 9)
     while True:
-        y = (8 * x + m // x**8) // 9
+        y = (8 * x + n // x**8) // 9
         if y >= x:
-            return x if x**9 == m else None
+            return x
         x = y
 
 
-def _rational_ninth_root(f: Fraction) -> Fraction | None:
-    num = _integer_ninth_root(f.numerator)
-    den = _integer_ninth_root(f.denominator)
-    if num is None or den is None:
-        return None
-    return Fraction(num, den)
-
-
 def ninth_root(d: Scalar) -> Scalar | None:
-    """The real ninth root of d, if it lies in Q(sqrt2); None otherwise."""
-    if d.is_rational():
-        r = _rational_ninth_root(d.a)
-        return None if r is None else Scalar(r)
-    if not d.a:
-        # (t*sqrt2)^9 = 16 sqrt2 t^9
-        r = _rational_ninth_root(d.b / 16)
-        return None if r is None else Scalar(0, r)
-    # general element d = a + b sqrt2, root x = u + v sqrt2.  With m the
-    # common denominator of a and b, (m x)^9 = m^8 (m d) is integral, so m x
-    # lies in Z[sqrt2], the integers of Q(sqrt2): m u and m v are the
-    # integers nearest to m (r+ + r-) / 2 and m (r+ - r-) / (2 sqrt2), r+-
-    # the real ninth roots of the embeddings a +- b sqrt2.  The larger
-    # embedding is summed without cancellation and the smaller is the exact
-    # norm a^2 - 2 b^2 over it, so both carry a relative error near
-    # 2^-prec; prec covers the bits of m and of the roots with a margin.
-    import mpmath
+    """The real ninth root of d, if it lies in Q(sqrt2); None otherwise.
 
-    a, b = d.a, d.b
+    Integer arithmetic only.  Negating and conjugating d (x^9 = d exactly
+    when (-x)^9 = -d and conj(x)^9 = conj(d)) makes d = a + b sqrt2 with
+    a, b >= 0, so the embedding a + b sqrt2 is the larger in size.  With m
+    the common denominator of a and b, X = m x = U + V sqrt2 is a ninth
+    root of D = m^9 d = A + B sqrt2 in Z[sqrt2], the integers of Q(sqrt2),
+    and its norm n = U^2 - 2 V^2 is the integer ninth root of
+    A^2 - 2 B^2.  The larger embedding X+ = U + V sqrt2 is a fixed-point
+    ninth root of A + B sqrt2 with 8 guard bits, the smaller is
+    X- = n / X+, so neither cancels and both are within 2^-7; U is their
+    rounded mean and V^2 = (U^2 - n) / 2.  The candidate is checked
+    exactly."""
+    if d.is_zero():
+        return ZERO
+    negate = d.a < 0 or (not d.a and d.b < 0)
+    a, b = (-d.a, -d.b) if negate else (d.a, d.b)
+    conjugate = b < 0
+    b = abs(b)
     m = math.lcm(a.denominator, b.denominator)
-    top = max(abs(a.numerator), abs(b.numerator)).bit_length()
-    prec = m.bit_length() + top // 9 + 40
-
-    def real_ninth(x):
-        return mpmath.sign(x) * mpmath.root(abs(x), 9)
-
-    def mpq(f: Fraction):
-        return mpmath.mpf(f.numerator) / f.denominator
-
-    with mpmath.workprec(prec):
-        s2 = mpmath.sqrt(2)
-        same = (a > 0) == (b > 0)
-        large = mpq(a) + s2 * mpq(b if same else -b)
-        small = mpq(a * a - 2 * b * b) / large
-        e_plus, e_minus = (large, small) if same else (small, large)
-        r_plus, r_minus = real_ninth(e_plus), real_ninth(e_minus)
-        mu = int(mpmath.nint(m * (r_plus + r_minus) / 2))
-        mv = int(mpmath.nint(m * (r_plus - r_minus) / (2 * s2)))
-    cand = Scalar(Fraction(mu, m), Fraction(mv, m))
+    m9 = m**9
+    big_a = a.numerator * (m9 // a.denominator)
+    big_b = b.numerator * (m9 // b.denominator)
+    norm = big_a * big_a - 2 * big_b * big_b
+    n = _floor_ninth_root(abs(norm))
+    if n**9 != abs(norm):
+        return None
+    n = n if norm > 0 else -n
+    k = 8  # guard bits: 2^k X+ and 2^k X- are each within 2 of their true values
+    large = _floor_ninth_root((big_a << 9 * k) + math.isqrt(2 * big_b * big_b << 18 * k))
+    small = (n << 2 * k) // large
+    u = (large + small + (1 << k)) >> (k + 1)
+    v = math.isqrt(max(u * u - n, 0) // 2)
+    cand = Scalar(Fraction(u, m), Fraction(-v if conjugate else v, m))
+    if negate:
+        cand = -cand
     return cand if cand**9 == d else None
 
 

@@ -200,7 +200,6 @@ NILPOTENT_CATALOG: tuple[NilpotentCatalogEntry, ...] = (
 )
 
 _CATALOG_BY_PARTITION = {entry.partition.parts: entry for entry in NILPOTENT_CATALOG}
-CATALOG_BY_NAME = {entry.name: entry for entry in NILPOTENT_CATALOG}
 
 
 def catalog_entry_for_partition(partition: SegrePartition) -> NilpotentCatalogEntry:

@@ -13,8 +13,6 @@ from typing import Union
 
 RationalLike = Union[int, Fraction, str]
 
-_FRACTION_ZERO = Fraction(0)
-
 
 class DomainError(ValueError):
     """Input outside the domain the library decides: a malformed scalar, a
@@ -51,8 +49,11 @@ class Scalar:
         try:
             if "sqrt2" not in s:
                 return Scalar(Fraction(s))
-            head, _, _ = s.partition("sqrt2")
-            if head.endswith("*"):
+            head, _, tail = s.partition("sqrt2")
+            if tail:
+                raise ValueError("text after sqrt2")
+            star = head.endswith("*")
+            if star:
                 head = head[:-1]
             # split off the rational part, if any; find the sign that separates
             # it from the sqrt2 coefficient (not the leading sign, not one inside /)
@@ -64,10 +65,10 @@ class Scalar:
                 rat, coef = "0", head
             else:
                 rat, coef = head[:split], head[split:]
-            if coef in ("", "+"):
-                coef = "1"
-            elif coef == "-":
-                coef = "-1"
+            if coef in ("", "+", "-"):
+                if star:
+                    raise ValueError("no coefficient before *sqrt2")
+                coef = coef + "1"
             return Scalar(Fraction(rat), Fraction(coef))
         except (ValueError, ZeroDivisionError) as exc:
             raise DomainError(f"malformed scalar {text!r}") from exc

@@ -124,6 +124,8 @@ def test_rejects_inputs_outside_the_domain(tmp_path, capsys):
     coef = write_text(tmp_path, "coef.json", json.dumps(form))
     form["terms"] = [{"idx": [1, 2, 9], "coef": "1"}]
     index = write_text(tmp_path, "index.json", json.dumps(form))
+    form["terms"] = [{"idx": [1, 2, 7], "coef": "1"}, {"idx": [1, 2, 7], "coef": "5"}]
+    repeated = write_text(tmp_path, "repeated.json", json.dumps(form))
     not_json = write_text(tmp_path, "not_json.json", '{"n": 7, "ad": [')
     no_ad = write_text(tmp_path, "no_ad.json", json.dumps({"n": 7}))
     cases = [
@@ -134,6 +136,10 @@ def test_rejects_inputs_outside_the_domain(tmp_path, capsys):
         (["certify", "--form", coef], "malformed scalar '1/0'"),
         (["report", "--input", diag, "--form", coef], "malformed scalar '1/0'"),
         (["certify", "--form", index], "out of range 1..7"),
+        (["certify", "--form", repeated], "form index [1, 2, 7] is repeated"),
+        (["report", "--input", diag, "--form", repeated], "form index [1, 2, 7] is repeated"),
+        (["decide", "--input", diag, "--mode", "g2", "--eigen", "2*sqrt2+1,0,0,0,0,0"],
+         "malformed scalar '2*sqrt2+1'"),
     ]
     # JSON values of the wrong type are refused, not truncated or read as 0/1
     ad = [["0"] * 6 for _ in range(6)]
@@ -164,6 +170,7 @@ def test_rejects_inputs_outside_the_domain(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and reason in captured.err, argv
+        assert captured.err.count("\n") == 1, argv
     # a missing file is not a domain question
     assert main(["certify", "--form", str(tmp_path / "missing.json")]) == EXIT_INTERNAL
     assert "no such form file" in capsys.readouterr().err

@@ -30,7 +30,7 @@ from g2aa.g2 import (
     witt_star_phi,
 )
 from g2aa.linalg import Matrix
-from g2aa.scalars import ONE, SQRT2, DomainError, Scalar
+from g2aa.scalars import ONE, SQRT2, ZERO, DomainError, Scalar
 
 from conftest import oracle_bilinear_form, random_form, random_matrix, random_unimodular
 
@@ -358,6 +358,14 @@ def test_ninth_root():
     for x in (Scalar(10**41 + 7, 3), Scalar(1, 1) ** 60, Scalar(1, 1) ** 120):
         assert ninth_root(x**9) == x
     assert ninth_root(Scalar(10**41 + 7, 3) ** 9 + 1) is None
+    assert ninth_root(ZERO) == ZERO
+    # units of norm -1 = (-1)^9 pass the norm test but have no ninth root
+    assert ninth_root(Scalar(1, 1)) is None
+    assert ninth_root(Scalar(1, 1) ** 3) is None
+    # the conjugate embedding is the larger one
+    for x in (Scalar(1, -1), Scalar(-3, 2)):
+        assert ninth_root(x**9) == x
+    assert ninth_root(Scalar(0, -16)) == -SQRT2
 
 
 big_rationals = st.builds(Fraction, st.integers(-10**60, 10**60), st.integers(1, 10**30))

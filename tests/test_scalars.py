@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -91,8 +92,9 @@ def test_canonical_strings():
 def test_as_scalar_rejects_junk():
     with pytest.raises(TypeError):
         as_scalar(object())
-    for text in ("1/0", "", "x"):
-        with pytest.raises(ValueError, match=f"malformed scalar '{text}'"):
+    # text after sqrt2, or a "*" with no coefficient before it
+    for text in ("1/0", "", "x", "2*sqrt2+1", "sqrt2*3", "sqrt2xyz", "*sqrt2", "1+*sqrt2"):
+        with pytest.raises(ValueError, match=re.escape(f"malformed scalar '{text}'")):
             as_scalar(text)
     with pytest.raises(ZeroDivisionError):
         ZERO.inverse()
