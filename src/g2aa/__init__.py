@@ -8,11 +8,10 @@ tensors and the nilpotent catalog table.
 """
 
 from .scalars import Scalar, as_scalar
-from .linalg import Matrix, kernel, rank, signature
+from .linalg import Matrix
 from .exterior import (
     DegenerateMetricError,
     DimensionMismatchError,
-    Endo,
     KForm,
     gl_action,
     hodge_star,
@@ -28,7 +27,6 @@ from .liealg import (
     SegrePartition,
     differential,
     identify_nilpotent,
-    is_closed,
     is_stabilized,
     segre_partition,
 )
@@ -61,9 +59,9 @@ from .geometry import (
     analyze,
     annihilates,
     curvature,
+    endo_derivative,
     holonomy_algebra,
     levi_civita,
-    nabla_r,
     nabla_r_full,
 )
 from .classify import (

@@ -327,13 +327,6 @@ def nilpotent_witnesses(partition: SegrePartition):
     return _WITNESSES.get(partition.parts)
 
 
-def witness_block_matrix(a3: Matrix, b3: Matrix) -> Matrix:
-    entries = {(3 + i, j): x for (i, j), x in b3.items()}
-    for (i, j), x in a3.items():
-        entries[(i, j)] = entries[(3 + i, 3 + j)] = x
-    return Matrix.sparse(6, 6, entries)
-
-
 # -- closed-form nilpotent report ------------------------------------------------
 
 

@@ -22,9 +22,9 @@ from pathlib import Path
 
 from .exterior import KForm
 from .g2 import (
+    FLOAT_TOL,
     MODEL_TENSORS,
     NotG2Error,
-    _positive_tol,
     certify_g2,
     witt_frame_from_adapted,
     witt_phi,
@@ -85,10 +85,9 @@ def _load_algebra(source: str) -> AlmostAbelianAlgebra:
 
 
 def cmd_certify(args) -> int:
-    _positive_tol(args.tol)  # refused before the form is read
     phi = _load_form(args.form)
     try:
-        s = certify_g2(phi, tol=args.tol)
+        s = certify_g2(phi)
     except NotG2Error as exc:
         if args.format == "json":
             print(json.dumps({"certified": False, "reason": str(exc)}))
@@ -116,13 +115,13 @@ def cmd_certify(args) -> int:
             out["vol_coefficient"] = str(s.vol.coefficient(1, 2, 3, 4, 5, 6, 7))
         else:
             out["metric_float"] = [list(r) for r in s.metric_float]
-            out["tolerance"] = args.tol
+            out["tolerance"] = FLOAT_TOL
         print(json.dumps(out))
     else:
         sig_text = "definite" if s.eps == -1 else "(3,4)"
         print(f"{kind}, {sig_text}, {s.frame_kind}, stab dim {stab}")
         if not s.is_exact:
-            print(f"metric: float fallback (relation verified to {args.tol:g})")
+            print(f"metric: float fallback (relation verified to {FLOAT_TOL:g})")
     return EXIT_OK
 
 
@@ -166,6 +165,8 @@ def cmd_report(args) -> int:
 
 
 def cmd_decide(args) -> int:
+    if args.eigen and args.kind != "calibrated":
+        raise DomainError("eigen data applies to calibrated decisions only")
     algebra = _load_algebra(args.input)
     eigen = [Scalar.from_string(x) for x in args.eigen.split(",")] if args.eigen else None
     if args.kind == "calibrated":
@@ -345,8 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="JSON form file or a model tensor name "
                              f"({', '.join(sorted(MODEL_TENSORS))}, witt_phi)")
     p_cert.add_argument("--format", choices=("text", "json"), default="text")
-    p_cert.add_argument("--tol", type=float, default=1e-9,
-                        help="relative tolerance of the float fallback")
     p_cert.set_defaults(func=cmd_certify)
 
     p_rep = sub.add_parser("report", help="curvature/holonomy report")
@@ -361,7 +360,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_dec.add_argument("--kind", choices=("calibrated", "parallel"), default="calibrated")
     p_dec.add_argument("--eigen", default=None,
                        help="comma-separated real eigenvalues of the ad matrix "
-                            "(certificate for diagonalizable non-nilpotent input)")
+                            "(certificate for diagonalizable non-nilpotent input; "
+                            "calibrated decisions only)")
     p_dec.add_argument("--format", choices=("text", "json"), default="text")
     p_dec.set_defaults(func=cmd_decide)
 

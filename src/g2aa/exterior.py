@@ -200,20 +200,6 @@ class KForm:
         return KForm.from_json_dict(json.loads(text))
 
 
-class Endo:
-    """A square matrix read as an endomorphism in a fixed basis."""
-
-    __slots__ = ("matrix",)
-
-    def __init__(self, matrix: Matrix):
-        if matrix.rows != matrix.cols:
-            raise ValueError("endomorphism matrix must be square")
-        object.__setattr__(self, "matrix", matrix)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Endo is immutable")
-
-
 # -- operations ----------------------------------------------------------------
 
 
@@ -249,11 +235,10 @@ def interior(vector: Sequence, a: KForm) -> KForm:
     return KForm(a.dim, a.degree - 1, acc)
 
 
-def gl_action(endo: Matrix | Endo, a: KForm) -> KForm:
+def gl_action(m: Matrix, a: KForm) -> KForm:
     """Derivation action of gl(n) on forms, pinned by (A.al)(v) = -al(Av)
     on 1-forms so that the almost abelian differential reads d rho = f^n ^ A.rho.
     """
-    m = endo.matrix if isinstance(endo, Endo) else endo
     if m.rows != a.dim or m.cols != a.dim:
         raise DimensionMismatchError("endomorphism size must match form dimension")
     acc: dict[tuple[int, ...], Scalar] = {}

@@ -36,7 +36,7 @@ from functools import lru_cache
 
 from .exterior import KForm, _complement, gl_action, hodge_star, interior, pullback, wedge
 from .linalg import Matrix
-from .scalars import HALF, HALF_SQRT2, ONE, ZERO, DomainError, Scalar
+from .scalars import HALF, HALF_SQRT2, ONE, ZERO, Scalar
 
 
 class NotG2Error(ValueError):
@@ -174,22 +174,20 @@ class G2EpsStructure:
     def is_exact(self) -> bool:
         return self.metric is not None
 
-    def hodge(self, a: KForm) -> KForm:
-        if not self.is_exact:
-            raise ValueError("Hodge star requires the exact-metric pipeline")
-        return hodge_star(a, self.metric, self.vol)
-
     def star_phi(self) -> KForm:
         """The Hodge dual of phi, computed on the first call and kept on
         the structure.  The write is idempotent, so a structure that the
         certify cache shares stays safe to share."""
         star = self.__dict__.get("_star_phi")
         if star is None:
-            star = self.hodge(self.phi)
+            if not self.is_exact:
+                raise ValueError("Hodge star requires the exact-metric pipeline")
+            star = hodge_star(self.phi, self.metric, self.vol)
             object.__setattr__(self, "_star_phi", star)
         return star
 
 
+# relative error allowed in the float fallback's relation c^9 = det B
 FLOAT_TOL = 1e-9
 
 # Gram matrix of the induced metric in a Witt frame:
@@ -293,7 +291,7 @@ def _detect_frame_kind(metric: Matrix, eps: int) -> str:
 
 
 @lru_cache(maxsize=32)
-def _certify_cached(phi: KForm, tol: float) -> G2EpsStructure:
+def _certify_cached(phi: KForm) -> G2EpsStructure:
     n = phi.dim
     if n != 7 or phi.degree != 3:
         raise NotG2Error("certification needs a three-form on a 7-dimensional space")
@@ -324,13 +322,13 @@ def _certify_cached(phi: KForm, tol: float) -> G2EpsStructure:
     c_f = _float_ninth_root(det_f)
     metric_f = tuple(tuple(x / c_f for x in row) for row in bf)
     rel = abs(c_f**9 - det_f) / max(abs(det_f), 1e-300)
-    if rel > tol:
+    if rel > FLOAT_TOL:
         raise NotG2Error("float fallback failed the defining-relation tolerance")
     return G2EpsStructure(phi, eps, None, None, "generic",
                           metric_float=metric_f, vol_float=c_f)
 
 
-def certify_g2(phi: KForm, tol: float = FLOAT_TOL) -> G2EpsStructure:
+def certify_g2(phi: KForm) -> G2EpsStructure:
     """Certify a three-form as a G2^eps structure; raises NotG2Error.
 
     The test is the stability criterion: phi is a G2^eps structure exactly
@@ -338,18 +336,8 @@ def certify_g2(phi: KForm, tol: float = FLOAT_TOL) -> G2EpsStructure:
     is read off the signature of B, swapped when det B < 0.
     ``tests/test_g2.py`` pins the criterion against the dimension of the
     stabilizer algebra.
-
-    ``tol`` bounds the relative error of the float fallback's ninth-root
-    relation; the exact path ignores it.
     """
-    return _certify_cached(phi, _positive_tol(tol))
-
-
-def _positive_tol(tol: float) -> float:
-    # the negated test also refuses nan, which compares false both ways
-    if not 0 < tol < math.inf:
-        raise DomainError("tolerance must be positive and finite")
-    return tol
+    return _certify_cached(phi)
 
 
 def _float_ninth_root(x: float) -> float:
@@ -369,9 +357,6 @@ class WittFrame:
     def to_witt(self, a: KForm) -> KForm:
         """Rewrite a form given in adapted coordinates in Witt coordinates."""
         return pullback(self.basis_change.inverse(), a)
-
-    def from_witt(self, a: KForm) -> KForm:
-        return pullback(self.basis_change, a)
 
     def gram_in_witt(self, metric: Matrix) -> Matrix:
         t = self.basis_change.inverse()
@@ -433,19 +418,13 @@ def structure_map(rho: KForm) -> Matrix:
     canonical pairing of five-forms against the volume e^{1...6}."""
     if rho.dim != 6 or rho.degree != 3:
         raise ValueError("structure map needs a three-form on R^6")
+    # e^i pairs with the e^{i^c} coefficient, signed by e^i ^ e^{i^c}
+    pairing = [_complement((i,), 6) for i in range(1, 7)]
     cols = []
-    full = tuple(range(1, 7))
     for j in range(6):
         v = [ONE if k == j else ZERO for k in range(6)]
         xi = wedge(interior(v, rho), rho)
-        col = []
-        for i in range(1, 7):
-            rest = tuple(x for x in full if x != i)
-            c = xi.coefficient(*rest)
-            if (i - 1) % 2:
-                c = -c
-            col.append(c)
-        cols.append(col)
+        cols.append([sg * xi.coefficient(*comp) for comp, sg in pairing])
     return Matrix.from_columns(cols)
 
 

@@ -238,26 +238,6 @@ def nabla_r_full(conn: ConnectionTable, report: CurvatureReport,
     return _raise(conn, next(_nabla_r(conn, report, [(z, x, y)]))[1])
 
 
-@dataclass(frozen=True)
-class NablaRData:
-    """Both covariant-derivative notions for the curvature."""
-
-    endo_derivatives: dict[tuple[int, int, int], Matrix]
-    full_tensor: dict[tuple[int, int, int], Matrix]
-    is_locally_symmetric: bool
-
-
-def nabla_r(conn: ConnectionTable, report: CurvatureReport) -> NablaRData:
-    """All (nabla_z R)(f_x, f_y) and all endomorphism derivatives
-    nabla_z(R(f_x, f_y)); local symmetry means the full tensor vanishes."""
-    keys = [(z, x, y) for z in range(conn.algebra.n) for (x, y) in report.r]
-    endo = {k: endo_derivative(conn, k[0], report.r[k[1:]]) for k in keys}
-    full = dict.fromkeys(keys, Matrix.zero(conn.algebra.n))
-    full.update((k, _raise(conn, u))
-                for k, u in _nabla_r(conn, report, _curved_triples(conn, report)))
-    return NablaRData(endo, full, all(m.is_zero() for m in full.values()))
-
-
 def is_locally_symmetric(conn: ConnectionTable, report: CurvatureReport) -> bool:
     """Early-exit check that the full nabla R vanishes."""
     triples = _curved_triples(conn, report)
@@ -303,14 +283,6 @@ def holonomy_algebra(conn: ConnectionTable, report: CurvatureReport) -> list[Mat
 def annihilates(phi: KForm, endos: list[Matrix]) -> bool:
     """True iff every endomorphism acts trivially on the form."""
     return all(gl_action(a, phi).is_zero() for a in endos)
-
-
-def is_abelian_family(endos: list[Matrix]) -> bool:
-    return all(
-        endos[i].commutator(endos[j]).is_zero()
-        for i in range(len(endos))
-        for j in range(i + 1, len(endos))
-    )
 
 
 def analyze(algebra: AlmostAbelianAlgebra, phi: KForm, metric: Matrix) -> CurvatureReport:

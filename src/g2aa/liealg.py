@@ -47,18 +47,6 @@ class AlmostAbelianAlgebra:
                 out[k] = -c
         return out
 
-    def is_nilpotent(self) -> bool:
-        m = self.ad_matrix
-        p = m
-        for _ in range(m.rows - 1):
-            if p.is_zero():
-                return True
-            p = p @ m
-        return p.is_zero()
-
-    def is_abelian(self) -> bool:
-        return self.ad_matrix.is_zero()
-
     def to_json_dict(self) -> dict:
         return {
             "n": self.n,
@@ -111,14 +99,6 @@ def is_stabilized(algebra: AlmostAbelianAlgebra, a: KForm) -> bool:
     """True iff ad(f_n)|_u annihilates the form (a form on u)."""
     rho = _on_ideal(algebra, a)
     return gl_action(algebra.ad_matrix, rho).is_zero()
-
-
-def is_closed(algebra: AlmostAbelianAlgebra, a: KForm) -> bool:
-    """For forms on u this agrees with is_stabilized."""
-    n = algebra.n
-    rho = _on_ideal(algebra, a)
-    lifted = KForm(n, rho.degree, {idx: c for idx, c in rho.items()})
-    return differential(algebra, lifted).is_zero()
 
 
 # -- nilpotent classification ---------------------------------------------------

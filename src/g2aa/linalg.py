@@ -324,9 +324,6 @@ class Matrix:
         _set(self, "_inv", inv)
         return inv
 
-    def solve(self, rhs: Sequence) -> list[Scalar]:
-        return self.inverse().apply(rhs)
-
     def signature(self) -> tuple[int, int, int]:
         """Sylvester signature (positives, negatives, zeros); requires symmetry."""
         if not self.is_symmetric():
@@ -335,21 +332,6 @@ class Matrix:
 
     def to_float(self) -> list[list[float]]:
         return [[float(x) for x in r] for r in self.tolist()]
-
-
-# -- helper functions --------------------------------------------------------
-
-
-def kernel(m: Matrix) -> list[list[Scalar]]:
-    return m.kernel()
-
-
-def rank(m: Matrix) -> int:
-    return m.rank()
-
-
-def signature(sym: Matrix) -> tuple[int, int, int]:
-    return sym.signature()
 
 
 # -- the elimination engine: fraction-free over Z[sqrt2] ----------------------

@@ -16,8 +16,8 @@ RationalLike = Union[int, Fraction, str]
 
 class DomainError(ValueError):
     """Input outside the domain the library decides: a malformed scalar, a
-    non-positive tolerance, a mode the question does not cover.  The
-    command line reports it with exit code 2."""
+    mode the question does not cover.  The command line reports it with
+    exit code 2."""
 
 
 class Scalar:
@@ -33,10 +33,6 @@ class Scalar:
         raise AttributeError("Scalar is immutable")
 
     # -- constructors ------------------------------------------------------
-
-    @staticmethod
-    def sqrt2() -> "Scalar":
-        return Scalar(0, 1)
 
     @staticmethod
     def from_string(text: str) -> "Scalar":
@@ -219,10 +215,6 @@ class Scalar:
     def conjugate(self) -> "Scalar":
         """Galois conjugate a - b*sqrt2."""
         return Scalar(self.a, -self.b)
-
-    def norm(self) -> Fraction:
-        """Field norm a^2 - 2 b^2 (a rational)."""
-        return self.a * self.a - 2 * self.b * self.b
 
     def __float__(self) -> float:
         return float(self.a) + float(self.b) * 1.4142135623730951

@@ -58,6 +58,20 @@ def random_algebra(rng, n=7, span=2):
     return AlmostAbelianAlgebra(n, random_matrix(rng, n - 1, span=span))
 
 
+def witness_block_matrix(a3: Matrix, b3: Matrix) -> Matrix:
+    """The 6x6 block matrix [[A, 0], [B, A]] of a witness pair (A, B)."""
+    entries = {(3 + i, j): x for (i, j), x in b3.items()}
+    for (i, j), x in a3.items():
+        entries[(i, j)] = entries[(3 + i, 3 + j)] = x
+    return Matrix.sparse(6, 6, entries)
+
+
+def is_abelian_family(endos: list[Matrix]) -> bool:
+    """Do the endomorphisms commute pairwise?"""
+    return all(endos[i].commutator(endos[j]).is_zero()
+               for i in range(len(endos)) for j in range(i + 1, len(endos)))
+
+
 # -- independent oracles -----------------------------------------------------
 
 

@@ -41,7 +41,6 @@ from g2aa.geometry import (
     analyze,
     curvature,
     endo_derivative,
-    is_abelian_family,
     levi_civita,
 )
 from g2aa.liealg import (
@@ -62,12 +61,12 @@ from g2aa.classify import (
     pipeline_report,
     sweep_parameter_grid,
     table1_diff,
-    witness_block_matrix,
 )
 from g2aa.linalg import Matrix
 from g2aa.scalars import ZERO, Scalar
 
-from conftest import oracle_differential, random_unimodular
+from conftest import (is_abelian_family, oracle_differential, random_unimodular,
+                      witness_block_matrix)
 
 VOL7 = KForm.basis(7, 1, 2, 3, 4, 5, 6, 7)
 HALF = Scalar(Fraction(1, 2))

@@ -9,7 +9,7 @@ from g2aa.exterior import gl_action
 from g2aa.g2 import certify_g2, rho_model, rho_null_model, stabilizer_algebra, witt_phi
 from g2aa.geometry import curvature, levi_civita
 from g2aa.liealg import AlmostAbelianAlgebra, SegrePartition, segre_partition
-from conftest import random_unimodular
+from conftest import random_unimodular, witness_block_matrix
 from g2aa.classify import (
     CALIBRATED_MODES,
     NULL_PAIR_BASIS,
@@ -32,7 +32,6 @@ from g2aa.classify import (
     sweep_parameter_grid,
     sweep_sample,
     table1_diff,
-    witness_block_matrix,
 )
 from g2aa.liealg import differential
 from g2aa.linalg import Matrix

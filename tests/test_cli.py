@@ -46,6 +46,7 @@ def test_certify_float_fallback(tmp_path, capsys):
     assert payload["signature"] == [7, 0, 0]
     assert payload["stabilizer_dim"] == 14
     assert "metric" not in payload and len(payload["metric_float"]) == 7
+    assert payload["tolerance"] == 1e-9
     assert main(["certify", "--form", path]) == EXIT_OK
     lines = capsys.readouterr().out.splitlines()
     assert lines == ["G2, definite, generic, stab dim 14",
@@ -94,15 +95,12 @@ def test_rejects_inputs_outside_the_domain(tmp_path, capsys):
     zero = write_algebra(tmp_path, AlmostAbelianAlgebra(7, Matrix.zero(6)), "zero.json")
     assert main(["decide", "--input", zero, "--mode", "g2", "--eigen", "1,x"]) == EXIT_DOMAIN
     assert "malformed scalar '1/0'" in capsys.readouterr().err
-    # a tolerance that is not positive, and a parallel decision in the
-    # degenerate mode
-    assert main(["certify", "--form", "phi_plus", "--tol", "0"]) == EXIT_DOMAIN
-    assert "tolerance must be positive" in capsys.readouterr().err
-    # nan and inf would accept any float fallback, such as that of 2 phi_-
-    two_phi = write_form(tmp_path, phi_model(-1).scale(2), "two_phi.json")
-    for tol in ("nan", "inf"):
-        assert main(["certify", "--form", two_phi, "--tol", tol]) == EXIT_DOMAIN
-        assert "tolerance must be positive and finite" in capsys.readouterr().err
+    # certify has no tolerance option; argparse refuses it with exit 2
+    with pytest.raises(SystemExit) as refused:
+        main(["certify", "--form", "phi_plus", "--tol", "1e-9"])
+    assert refused.value.code == EXIT_DOMAIN
+    assert "unrecognized arguments: --tol 1e-9" in capsys.readouterr().err
+    # a parallel decision in the degenerate mode
     assert main(["decide", "--input", zero, "--kind", "parallel",
                  "--mode", "g2star_deg"]) == EXIT_DOMAIN
     assert "non-degenerate modes only" in capsys.readouterr().err
@@ -140,6 +138,8 @@ def test_rejects_inputs_outside_the_domain(tmp_path, capsys):
         (["report", "--input", diag, "--form", repeated], "form index [1, 2, 7] is repeated"),
         (["decide", "--input", diag, "--mode", "g2", "--eigen", "2*sqrt2+1,0,0,0,0,0"],
          "malformed scalar '2*sqrt2+1'"),
+        (["decide", "--input", diag, "--mode", "g2", "--kind", "parallel",
+          "--eigen", "1,2,3,4,5,6"], "eigen data applies to calibrated decisions only"),
     ]
     # JSON values of the wrong type are refused, not truncated or read as 0/1
     ad = [["0"] * 6 for _ in range(6)]

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from g2aa.exterior import DegenerateMetricError, KForm, gl_action
 from g2aa.g2 import adapted_metric, certify_g2, witt_phi
 from g2aa.geometry import (
+    _curved_triples,
     _raise,
     _upper,
     analyze,
@@ -14,18 +15,16 @@ from g2aa.geometry import (
     curvature,
     endo_derivative,
     holonomy_algebra,
-    is_abelian_family,
     is_locally_symmetric,
     levi_civita,
-    nabla_r,
     nabla_r_full,
 )
 from g2aa.liealg import AlmostAbelianAlgebra, differential
 from g2aa.linalg import Matrix
 from g2aa.scalars import ONE, ZERO, Scalar
 
-from conftest import (oracle_holonomy, oracle_levi_civita, oracle_nabla_r, random_matrix,
-                      random_scalar, random_unimodular)
+from conftest import (is_abelian_family, oracle_holonomy, oracle_levi_civita, oracle_nabla_r,
+                      random_matrix, random_scalar, random_unimodular)
 
 
 def example_a_algebra():
@@ -254,7 +253,7 @@ def test_curvature_identities_random():
 
 @pytest.fixture(scope="module")
 def nabla_r_cases():
-    """(conn, curvature, nabla_r) for six random 5-dimensional algebras and
+    """(conn, curvature) for six random 5-dimensional algebras and
     metrics, one random 7-dimensional one, two points of the nilpotent
     degenerate family (one locally symmetric but not flat, one not locally
     symmetric), and a sparse case where a nonzero (nabla_z R)(f_x, f_y) is
@@ -272,13 +271,12 @@ def nabla_r_cases():
     out = []
     for alg, g in pairs:
         conn = levi_civita(alg, g)
-        rep = curvature(conn)
-        out.append((conn, rep, nabla_r(conn, rep)))
+        out.append((conn, curvature(conn)))
     return out
 
 
 def test_second_bianchi_random(nabla_r_cases):
-    for conn, rep, _ in nabla_r_cases:
+    for conn, rep in nabla_r_cases:
         n = conn.algebra.n
         for z in range(n):
             for x in range(n):
@@ -294,15 +292,17 @@ def test_second_bianchi_random(nabla_r_cases):
 
 def test_nabla_r_equals_dense_reference(nabla_r_cases):
     seen = set()
-    for conn, rep, data in nabla_r_cases:
+    for conn, rep in nabla_r_cases:
         expected = oracle_nabla_r(conn)
-        assert set(data.full_tensor) == set(expected)
+        curved = set(_curved_triples(conn, rep))
         for (z, x, y), want in expected.items():
-            got = data.full_tensor[(z, x, y)]
+            got = nabla_r_full(conn, rep, z, x, y)
             assert got.tolist() == want
             assert nabla_r_full(conn, rep, z, y, x) == -got
+            # the local-symmetry scan visits every triple where nabla R is nonzero
+            assert got.is_zero() or (z, x, y) in curved
         symmetric = all(all(x.is_zero() for row in m for x in row) for m in expected.values())
-        assert is_locally_symmetric(conn, rep) is data.is_locally_symmetric is symmetric
+        assert is_locally_symmetric(conn, rep) is symmetric
         seen.add((symmetric, rep.is_flat))
     assert {(True, False), (False, False)} <= seen
 
@@ -322,11 +322,9 @@ def test_nabla_r_both_notions_and_annihilates():
     s = witt_structure()
     conn = levi_civita(alg, s.metric)
     rep = curvature(conn)
-    data = nabla_r(conn, rep)
-    assert not data.is_locally_symmetric
-    # endo derivative along f_7 of R(f_5,f_7) is reported too
-    key = (6, 4, 6)
-    assert data.endo_derivatives[key] == rep.r[(1, 6)].scale(Scalar(Fraction(3, 2)))
+    assert not is_locally_symmetric(conn, rep)
+    # the endomorphism derivative along f_7 of R(f_5, f_7)
+    assert endo_derivative(conn, 6, rep.r[(4, 6)]) == rep.r[(1, 6)].scale(Scalar(Fraction(3, 2)))
     assert annihilates(witt_phi(), []) is True
 
 
@@ -357,7 +355,7 @@ def _holonomy_21_pairs():
 def test_holonomy_matches_reference_closure_and_is_g_skew(nabla_r_cases):
     s = witt_structure()
     pairs = [(example_a_algebra(), s.metric), (example_b_algebra(), s.metric)]
-    cases = [(conn, rep) for conn, rep, _ in nabla_r_cases]
+    cases = list(nabla_r_cases)
     for alg, g in pairs + _holonomy_21_pairs():
         conn = levi_civita(alg, g)
         cases.append((conn, curvature(conn)))
