@@ -8,6 +8,8 @@ notation, so ``KForm.basis(7, 1, 2, 7)`` is e^127 on R^7.
 ``pullback`` is the one kernel for changes of basis: the Hodge star is the
 pullback along g^{-1} followed by complementing indices, and the form a
 subspace inherits is the pullback along the matrix of its basis vectors.
+It runs in Z[sqrt2] integer pairs over one common denominator, like the
+elimination engine of ``linalg``, and builds each result ``Scalar`` once.
 """
 
 from __future__ import annotations
@@ -17,7 +19,8 @@ from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
 from .linalg import Matrix
-from .scalars import ONE, ZERO, DomainError, Scalar, as_scalar, json_int, json_scalar
+from .scalars import (ONE, ZERO, DomainError, Scalar, _clear_denominators, _pair_scalar, as_scalar,
+                      json_int, json_list, json_object, json_scalar)
 
 
 class DimensionMismatchError(ValueError):
@@ -187,9 +190,11 @@ class KForm:
 
     @staticmethod
     def from_json_dict(data: dict) -> "KForm":
+        data = json_object(data, "form")
         terms = {}
-        for t in data["terms"]:
-            idx = tuple(json_int(i, "form index") for i in t["idx"])
+        for t in json_list(data["terms"], "terms"):
+            t = json_object(t, "term")
+            idx = tuple(json_int(i, "form index") for i in json_list(t["idx"], "idx"))
             if idx in terms:
                 raise DomainError(f"form index {list(idx)} is repeated")
             terms[idx] = json_scalar(t["coef"], "coefficient")
@@ -258,24 +263,37 @@ def pullback(m: Matrix, a: KForm) -> KForm:
     (m^* a)(v_1, ..., v_k) = a(m v_1, ..., m v_k).
 
     ``m`` may be rectangular: it needs ``a.dim`` rows, and the result lives
-    on ``m.cols`` dimensions.
+    on ``m.cols`` dimensions.  Each term of ``a`` expands as the product of
+    its pulled-back 1-forms m^* e^i = sum_j m[i-1][j-1] e^j.  The products
+    run in Z[sqrt2] integer pairs, m over its common denominator den_m and
+    ``a`` over den_a, and each term of the result becomes a ``Scalar``
+    once, over den_a * den_m^k.
     """
     if m.rows != a.dim:
         raise DimensionMismatchError("matrix rows must match form dimension")
-    # nonzero entries (j, m[i-1][j-1]) of m^* e^i = sum_j m[i-1][j-1] e^j
-    support = [[(j + 1, x) for j, x in m.row_items(i)] for i in range(m.rows)]
-    acc: dict[tuple[int, ...], Scalar] = {}
-    for idx, c in a._t.items():
+    entries = list(m.items())
+    den_m, pairs = _clear_denominators([x for _, x in entries])
+    support: list[list[tuple[int, int, int]]] = [[] for _ in range(m.rows)]
+    for ((i, j), _), (xa, xb) in zip(entries, pairs):
+        support[i].append((j + 1, xa, xb))
+    terms = list(a.items())
+    den_a, coefs = _clear_denominators([c for _, c in terms])
+    acc: dict[tuple[int, ...], tuple[int, int]] = {}
+    for (idx, _), (ca, cb) in zip(terms, coefs):
         # expand the product of pulled-back 1-forms, dropping index tuples
         # that repeat (they wedge to zero)
-        partial: list[tuple[tuple[int, ...], Scalar]] = [((), c)]
+        partial = [((), ca, cb)]
         for i in idx:
-            partial = [(tup + (j,), coef * x) for tup, coef in partial
-                       for j, x in support[i - 1] if j not in tup]
-        for tup, coef in partial:
+            partial = [(tup + (j,), pa * xa + 2 * pb * xb, pa * xb + pb * xa)
+                       for tup, pa, pb in partial
+                       for j, xa, xb in support[i - 1] if j not in tup]
+        for tup, pa, pb in partial:
             stup, sg = sort_indices(tup)
-            acc[stup] = acc.get(stup, ZERO) + (coef if sg > 0 else -coef)
-    return KForm(m.cols, a.degree, acc)
+            s = acc.get(stup, (0, 0))
+            acc[stup] = (s[0] + pa, s[1] + pb) if sg > 0 else (s[0] - pa, s[1] - pb)
+    den = den_a * den_m**a.degree
+    return KForm(m.cols, a.degree,
+                 {idx: _pair_scalar(p, q, den) for idx, (p, q) in acc.items() if p or q})
 
 
 def hodge_star(a: KForm, metric: Matrix, orientation_vol: KForm) -> KForm:

@@ -33,10 +33,12 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 
-from .exterior import KForm, _complement, gl_action, hodge_star, interior, pullback, wedge
+from .exterior import (KForm, _complement, gl_action, hodge_star, interior, pullback,
+                       sort_indices, wedge)
 from .linalg import Matrix
-from .scalars import HALF, HALF_SQRT2, ONE, ZERO, Scalar
+from .scalars import HALF, HALF_SQRT2, ONE, ZERO, Scalar, _clear_denominators, _pair_scalar
 
 
 class NotG2Error(ValueError):
@@ -203,28 +205,74 @@ WITT_GRAM = Matrix([
 ])
 
 
+@lru_cache(maxsize=None)
+def _pairing_table(dim: int, degree: int) -> dict:
+    """The disjoint index triples (I, J, M) of a k-form on R^dim, with I and
+    J of length k - 1 and M of length k, as J -> ((I, M, sign(I, J, M)), ...).
+    Only when dim = 3k - 2 do the three cover 1..dim and a triple exist."""
+    table = {}
+    if 3 * degree - 2 == dim:
+        full = range(1, dim + 1)
+        for jdx in combinations(full, degree - 1):
+            rest = [x for x in full if x not in jdx]
+            triples = []
+            for idx in combinations(rest, degree - 1):
+                mdx = tuple(x for x in rest if x not in idx)
+                triples.append((idx, mdx, sort_indices(idx + jdx + mdx)[1]))
+            table[jdx] = tuple(triples)
+    return table
+
+
 def bilinear_volume_form(phi: KForm) -> Matrix:
     """Coefficient matrix of B(v,w) = (1/6)(v -| phi)^(w -| phi)^phi.
 
-    With h_j = e_j -| phi, B_ij is (1/6) the top coefficient of
-    h_i ^ (h_j ^ phi), which reads only the coefficients of the five-form
-    h_j ^ phi complementary to the terms of h_i:
-    B_ij = (1/6) sum_I h_i[I] (h_j ^ phi)[I^c] sign(I, I^c)."""
-    n = phi.dim
-    hooks = [interior([ONE if k == i else ZERO for k in range(n)], phi) for i in range(n)]
-    fives = [dict(wedge(h, phi).items()) for h in hooks]
-    sixth = Scalar(Fraction(1, 6))
+    B = (1/6) H P H^T: row i of H holds the hook e_i -| phi, and P pairs
+    two (k-1)-forms into a top form, P[I][J] = sign(I, J, M) phi_M with
+    M = (I u J)^c, read from the static table of disjoint triples.  The
+    products run in Z[sqrt2] integer pairs over phi's common denominator,
+    and each entry becomes a ``Scalar`` once, at the end."""
+    n, k = phi.dim, phi.degree
+    if k == 0:
+        raise ValueError("bilinear form needs degree >= 1")
+    terms = list(phi.items())
+    den, coefs = _clear_denominators([c for _, c in terms])
+    full = {idx: pq for (idx, _), pq in zip(terms, coefs)}
+    hooks: list[dict] = [{} for _ in range(n)]
+    for idx, (p, q) in full.items():
+        for pos, x in enumerate(idx):
+            hooks[x - 1][idx[:pos] + idx[pos + 1:]] = (-p, -q) if pos % 2 else (p, q)
+    table = _pairing_table(n, k)
+    # columns of P H^T, as I -> integer pair
+    ph = []
+    for hook in hooks:
+        col: dict = {}
+        for jdx, (ha, hb) in hook.items():
+            for idx, mdx, sg in table.get(jdx, ()):
+                f = full.get(mdx)
+                if f is None:
+                    continue
+                pa, pb = (ha, hb) if sg > 0 else (-ha, -hb)
+                fa, fb = f
+                s = col.get(idx, (0, 0))
+                col[idx] = (s[0] + pa * fa + 2 * pb * fb, s[1] + pa * fb + pb * fa)
+        ph.append(col)
+    # B_ji = (-1)^((k-1)^2) B_ij: hooks of odd degree anticommute
+    flip = -1 if k % 2 == 0 else 1
+    scale = 6 * den**3
     entries = {}
     for i in range(n):
-        terms = [(_complement(idx, n), c) for idx, c in hooks[i].items()]
+        hook = hooks[i]
         for j in range(i, n):
-            five = fives[j]
-            acc = ZERO
-            for (comp, sg), c in terms:
-                y = five.get(comp)
+            col = ph[j]
+            sa = sb = 0
+            for idx, (ha, hb) in hook.items():
+                y = col.get(idx)
                 if y is not None:
-                    acc = acc + c * y if sg > 0 else acc - c * y
-            entries[(i, j)] = entries[(j, i)] = sixth * acc
+                    sa += ha * y[0] + 2 * hb * y[1]
+                    sb += ha * y[1] + hb * y[0]
+            if sa or sb:
+                entries[(i, j)] = _pair_scalar(sa, sb, scale)
+                entries[(j, i)] = _pair_scalar(flip * sa, flip * sb, scale)
     return Matrix.sparse(n, n, entries)
 
 
@@ -258,14 +306,13 @@ def ninth_root(d: Scalar) -> Scalar | None:
     exactly."""
     if d.is_zero():
         return ZERO
-    negate = d.a < 0 or (not d.a and d.b < 0)
-    a, b = (-d.a, -d.b) if negate else (d.a, d.b)
-    conjugate = b < 0
-    b = abs(b)
-    m = math.lcm(a.denominator, b.denominator)
-    m9 = m**9
-    big_a = a.numerator * (m9 // a.denominator)
-    big_b = b.numerator * (m9 // b.denominator)
+    m, ((big_a, big_b),) = _clear_denominators((d,))
+    negate = big_a < 0 or (not big_a and big_b < 0)
+    if negate:
+        big_a, big_b = -big_a, -big_b
+    conjugate = big_b < 0
+    m8 = m**8
+    big_a, big_b = big_a * m8, abs(big_b) * m8
     norm = big_a * big_a - 2 * big_b * big_b
     n = _floor_ninth_root(abs(norm))
     if n**9 != abs(norm):
@@ -276,7 +323,7 @@ def ninth_root(d: Scalar) -> Scalar | None:
     small = (n << 2 * k) // large
     u = (large + small + (1 << k)) >> (k + 1)
     v = math.isqrt(max(u * u - n, 0) // 2)
-    cand = Scalar(Fraction(u, m), Fraction(-v if conjugate else v, m))
+    cand = _pair_scalar(u, -v if conjugate else v, m)
     if negate:
         cand = -cand
     return cand if cand**9 == d else None

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .exterior import KForm, gl_action, wedge
 from .linalg import Matrix
-from .scalars import ZERO, Scalar, json_int, json_scalar
+from .scalars import ZERO, Scalar, json_int, json_list, json_object, json_scalar
 
 
 class NonNilpotentError(ValueError):
@@ -58,7 +58,9 @@ class AlmostAbelianAlgebra:
 
     @staticmethod
     def from_json_dict(data: dict) -> "AlmostAbelianAlgebra":
-        rows = [[json_scalar(x, "ad entry") for x in row] for row in data["ad"]]
+        data = json_object(data, "algebra")
+        rows = [[json_scalar(x, "ad entry") for x in json_list(row, "ad row")]
+                for row in json_list(data["ad"], "ad")]
         return AlmostAbelianAlgebra(json_int(data["n"], "n"), Matrix(rows))
 
     @staticmethod

@@ -7,7 +7,9 @@ nonzeros only.  One elimination engine, ``Echelon``, serves rank, kernel,
 determinant and inverse, and the span tests of the holonomy closure: an
 incremental, sparse, fraction-free (Bareiss) row echelon form over
 Z[sqrt2] that clears denominators row by row, which keeps intermediate
-entries small on the 35x49 and 35x36 stabilizer systems.  A matrix keeps
+entries small on the 35x49 and 35x36 stabilizer systems.  Rows enter the
+integer pairs and results leave them through the two helpers of
+``scalars`` that every integer kernel shares.  A matrix keeps
 its inverse once computed.  Signatures of symmetric matrices use exact
 congruence diagonalization.
 """
@@ -15,11 +17,10 @@ congruence diagonalization.
 from __future__ import annotations
 
 import operator
-from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Iterable, Mapping, Sequence
 
-from .scalars import ONE, ZERO, Scalar, as_scalar
+from .scalars import ONE, ZERO, Scalar, _clear_denominators, _pair_scalar, as_scalar
 
 _EMPTY: dict = {}
 _set = object.__setattr__
@@ -250,7 +251,9 @@ class Matrix:
         # the last pivot is the determinant of the scaled rows with their
         # columns in pivot order
         inversions = sum(a > b for k, a in enumerate(ps) for b in ps[k + 1:])
-        return _from_pair(e.rows[-1][ps[-1]]) * Scalar(Fraction((-1) ** inversions, e.scale))
+        sign = (-1) ** inversions
+        p, q = e.rows[-1][ps[-1]]
+        return _pair_scalar(sign * p, sign * q, e.scale)
 
     def rank(self) -> int:
         return len(self._echelon().pivots)
@@ -298,7 +301,7 @@ class Matrix:
                 x[pcol] = (-sa, -sb)
             vec = [ZERO] * ncols
             for c, (va, vb) in x.items():
-                vec[c] = Scalar(Fraction(va, den), Fraction(vb, den))
+                vec[c] = _pair_scalar(va, vb, den)
             basis.append(vec)
         return basis
 
@@ -362,12 +365,11 @@ class Echelon:
     def add(self, row: Mapping[int, Scalar]) -> bool:
         """Reduce ``row`` by the kept rows and keep what is left; False,
         keeping nothing, when the kept rows span it."""
-        denom = 1
-        for x in row.values():
-            denom = lcm(denom, x.a.denominator, x.b.denominator)
-        v = {c: (x.a.numerator * (denom // x.a.denominator),
-                 x.b.numerator * (denom // x.b.denominator))
-             for c, x in row.items() if not x.is_zero()}
+        if not row:
+            # most candidate rows of the holonomy closure are empty
+            return False
+        denom, pairs = _clear_denominators(row.values())
+        v = {c: x for c, x in zip(row, pairs) if x[0] or x[1]}
         prev = (1, 0)
         for r, p in zip(self.rows, self.pivots):
             if not v:
@@ -415,10 +417,6 @@ def _pair_div(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
     if ra or rb:
         raise ArithmeticError("inexact division in fraction-free elimination")
     return (qa, qb)
-
-
-def _from_pair(x: tuple[int, int]) -> Scalar:
-    return Scalar(x[0], x[1])
 
 
 def _congruence_signature(a: list[list[Scalar]]) -> tuple[int, int, int]:

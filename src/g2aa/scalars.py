@@ -9,7 +9,8 @@ diagnostic / fallback conversion.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Union
+from math import lcm
+from typing import Collection, Union
 
 RationalLike = Union[int, Fraction, str]
 
@@ -265,6 +266,20 @@ def json_int(x, what: str) -> int:
     return x
 
 
+def json_list(x, what: str) -> list:
+    """A list field of a JSON document."""
+    if type(x) is not list:
+        raise DomainError(f"{what} must be a list, not {x!r}")
+    return x
+
+
+def json_object(x, what: str) -> dict:
+    """An object field of a JSON document, or the document itself."""
+    if type(x) is not dict:
+        raise DomainError(f"{what} must be an object, not {x!r}")
+    return x
+
+
 def json_scalar(x, what: str) -> Scalar:
     """A scalar field of a JSON document: a string in the format of
     ``Scalar.__str__`` or an integer.  JSON true/false and numbers with a
@@ -273,6 +288,33 @@ def json_scalar(x, what: str) -> Scalar:
     if type(x) is not int and not isinstance(x, str):
         raise DomainError(f"{what} must be a string or an integer, not {x!r}")
     return as_scalar(x)
+
+
+# -- Z[sqrt2] integer pairs ----------------------------------------------------
+#
+# The integer kernels (``Echelon``, ``pullback``, ``bilinear_volume_form``,
+# ``ninth_root``) hold scalars as pairs (p, q) of integers over one common
+# denominator den, meaning (p + q*sqrt2) / den.  These two helpers are the
+# only way in and out.
+
+
+def _clear_denominators(xs: Collection[Scalar]) -> tuple[int, list[tuple[int, int]]]:
+    """(den, [(p, q), ...]) with x = (p + q*sqrt2) / den for each x of xs in
+    turn, den the least common denominator of their parts."""
+    den = 1
+    for x in xs:
+        den = lcm(den, x.a.denominator, x.b.denominator)
+    if den == 1:
+        return den, [(x.a.numerator, x.b.numerator) for x in xs]
+    return den, [(x.a.numerator * (den // x.a.denominator),
+                  x.b.numerator * (den // x.b.denominator)) for x in xs]
+
+
+def _pair_scalar(p: int, q: int, den: int) -> Scalar:
+    """The scalar (p + q*sqrt2) / den, for integers p, q and den > 0."""
+    if den == 1:
+        return Scalar(p, q)
+    return Scalar(Fraction(p, den), Fraction(q, den))
 
 
 ZERO = Scalar(0)

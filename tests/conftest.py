@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -123,8 +123,6 @@ def oracle_differential(algebra: AlmostAbelianAlgebra, a: KForm) -> KForm:
 def oracle_form_inner(a: KForm, b: KForm, metric: Matrix) -> Scalar:
     """<a, b>_g via full index raising: (1/k!) a_{I} b^{I} over all ordered
     index tuples; independent of the library's minor-based pairing."""
-    from itertools import permutations
-
     k = a.degree
     ginv = metric.inverse()
     acc = ZERO
@@ -270,3 +268,23 @@ def oracle_bilinear_form(phi: KForm) -> Matrix:
     sixth = Scalar(Fraction(1, 6))
     return Matrix([[sixth * wedge(wedge(hooks[i], hooks[j]), phi).coefficient(*top)
                     for j in range(n)] for i in range(n)])
+
+
+def oracle_pullback(m: Matrix, a: KForm) -> KForm:
+    """m^* a by minors, (m^* a)_J = sum_I a_I det m[I, J], each minor a
+    Leibniz sum over permutations in plain Scalar arithmetic; independent
+    of the library's expansion in integer pairs."""
+    k = a.degree
+    out = {}
+    for jdx in combinations(range(1, m.cols + 1), k):
+        acc = ZERO
+        for idx, c in a.items():
+            minor = ZERO
+            for perm in permutations(range(k)):
+                prod = ONE
+                for s in range(k):
+                    prod = prod * m[idx[s] - 1, jdx[perm[s]] - 1]
+                minor = minor + prod * inversion_sign(perm)
+            acc = acc + c * minor
+        out[jdx] = acc
+    return KForm(m.cols, k, out)

@@ -165,6 +165,22 @@ def test_rejects_inputs_outside_the_domain(tmp_path, capsys):
         doc = {"dim": 7, "degree": 3, "terms": [{"idx": [1, 2, 3], "coef": "1"}], **change}
         cases.append((["certify", "--form", write_text(tmp_path, f"{name}.json", json.dumps(doc))],
                       reason))
+    # JSON containers of the wrong shape are refused with the field's name
+    for name, doc, reason in (
+            ("alg_list", [1, 2], "algebra must be an object, not [1, 2]"),
+            ("alg_str", "x", "algebra must be an object, not 'x'"),
+            ("ad_flat", {"n": 7, "ad": [1, 2, 3, 4, 5, 6]}, "ad row must be a list, not 1"),
+            ("ad_str", {"n": 7, "ad": "xxxxxx"}, "ad must be a list, not 'xxxxxx'"),
+            ("ad_dict", {"n": 7, "ad": {"a": 1}}, "ad must be a list, not {'a': 1}")):
+        cases.append((["decide", "--input", write_text(tmp_path, f"{name}.json", json.dumps(doc)),
+                       "--mode", "g2"], reason))
+    for name, terms, reason in (
+            ("terms_str", "abc", "terms must be a list, not 'abc'"),
+            ("terms_int", [1], "term must be an object, not 1"),
+            ("idx_int", [{"idx": 7, "coef": "1"}], "idx must be a list, not 7")):
+        doc = {"dim": 7, "degree": 3, "terms": terms}
+        cases.append((["certify", "--form", write_text(tmp_path, f"{name}.json", json.dumps(doc))],
+                      reason))
     for argv, reason in cases:
         assert main(argv) == EXIT_DOMAIN, argv
         captured = capsys.readouterr()

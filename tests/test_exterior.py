@@ -22,8 +22,10 @@ from g2aa.scalars import ONE, ZERO, Scalar
 from conftest import (
     inversion_sign,
     oracle_form_inner,
+    oracle_pullback,
     random_form,
     random_matrix,
+    random_scalar,
     random_unimodular,
 )
 
@@ -223,6 +225,23 @@ def test_pullback_functorial():
         assert pulled.dim == 4 and pulled == pullback(p @ q, f)
     with pytest.raises(DimensionMismatchError):
         pullback(Matrix.identity(6), phi_model(-1))
+
+
+def test_pullback_against_minors():
+    # sqrt2 entries and denominators, rectangular maps, degrees 0 to 4
+    rng = random.Random(27)
+    for degree in range(5):
+        for rows, cols in ((7, 7), (7, 5), (5, 7), (4, 6)):
+            m = random_matrix(rng, rows, cols, sqrt2=True)
+            f = random_form(rng, rows, degree, terms=4, sqrt2=True)
+            assert pullback(m, f) == oracle_pullback(m, f), (degree, rows, cols)
+    # sparse maps: a zero row, and the empty form
+    m = Matrix([[random_scalar(rng) if i != 2 else ZERO for _ in range(6)] for i in range(5)])
+    for f in (random_form(rng, 5, 3, terms=6, sqrt2=True), KForm.zero(5, 2)):
+        assert pullback(m, f) == oracle_pullback(m, f)
+    assert pullback(m, KForm.basis(5, 1, 3)).is_zero()
+    assert pullback(Matrix.zero(4, 3), KForm.constant(4, Scalar(1, 1))) == \
+        KForm.constant(3, Scalar(1, 1))
 
 
 def test_json_round_trip():

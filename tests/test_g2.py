@@ -250,6 +250,23 @@ def test_certify_builds_no_action_matrix(monkeypatch):
         certify_g2(KForm.basis(7, 1, 2, 3))
 
 
+def test_certify_and_star_use_neither_wedge_nor_interior(monkeypatch):
+    # B = (1/6) H P H^T and the Hodge star are integer-pair kernels
+    import g2aa.exterior as exterior
+    import g2aa.g2 as g2
+
+    def refuse(*args):
+        pytest.fail("wedge or interior called")
+
+    for module in (exterior, g2):
+        monkeypatch.setattr(module, "interior", refuse)
+        monkeypatch.setattr(module, "wedge", refuse)
+    phi = pullback(random_matrix(random.Random(45), 7, sqrt2=True), phi_model(-1))
+    s = certify_g2(phi)
+    assert s.eps == -1 and s.is_exact
+    assert not s.star_phi().is_zero()
+
+
 def test_certify_rejects_decomposable():
     with pytest.raises(NotG2Error):
         certify_g2(KForm.basis(7, 1, 2, 3))
@@ -316,8 +333,20 @@ def test_bilinear_form_against_wedge_of_wedges():
     dense = [pullback(random_matrix(rng, 7, sqrt2=True), phi_model(eps))
              for eps in (-1, 1) for _ in range(2)]
     degenerate = [random_form(rng, 7, 3, terms=t, sqrt2=True) for t in (2, 4, 6)]
-    for phi in dense + degenerate + [rho_null_model()]:
+    # all 35 terms, parts with denominators 1 to 3, and far from a common
+    # denominator of 1 in either direction
+    full = random_form(rng, 7, 3, terms=35, sqrt2=True)
+    scaled = [dense[0].scale(10**40), full.scale(Scalar(Fraction(1, 10**40), 3))]
+    # 2(k - 1) + k = dim pairs two hooks with phi only for 2-forms on R^4
+    # (hooks anticommute, B is skew) and three-forms on R^7; B = 0 otherwise
+    others = [rho_null_model(), rho_model(-1), rho_model(1),
+              random_form(rng, 6, 3, terms=20, sqrt2=True),
+              random_form(rng, 4, 2, terms=6, sqrt2=True), random_form(rng, 5, 2, terms=8)]
+    for phi in dense + degenerate + [full] + scaled + others:
         assert bilinear_volume_form(phi) == oracle_bilinear_form(phi)
+    skew = bilinear_volume_form(others[4])
+    assert not skew.is_zero() and skew.transpose() == -skew
+    assert all(bilinear_volume_form(phi).is_zero() for phi in others[:4] + others[5:])
     assert all(len(list(phi.items())) == 35 for phi in dense)
     assert all(not bilinear_volume_form(phi).det().is_zero() for phi in dense)
     assert all(bilinear_volume_form(phi).det().is_zero() for phi in degenerate)

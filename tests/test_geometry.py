@@ -19,9 +19,9 @@ from g2aa.geometry import (
     levi_civita,
     nabla_r_full,
 )
-from g2aa.liealg import AlmostAbelianAlgebra, differential
+from g2aa.liealg import AlmostAbelianAlgebra
 from g2aa.linalg import Matrix
-from g2aa.scalars import ONE, ZERO, Scalar
+from g2aa.scalars import ZERO, Scalar
 
 from conftest import (is_abelian_family, oracle_holonomy, oracle_levi_civita, oracle_nabla_r,
                       random_matrix, random_scalar, random_unimodular)
