@@ -6,8 +6,8 @@ This walk-through certifies the two model forms and the Witt-frame form
 and prints their exact metric data.
 """
 
-from g2aa import KForm, certify_g2, hodge_star, phi_model, witt_phi
-from g2aa.g2 import NotG2Error, adapted_metric, witt_frame_from_adapted
+from g2aa import KForm, certify_g2, phi_model, witt_phi
+from g2aa.g2 import NotG2Error, witt_frame_from_adapted
 
 for eps, name in ((-1, "compact model"), (1, "split model")):
     phi = phi_model(eps)

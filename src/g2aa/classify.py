@@ -474,16 +474,14 @@ def _partition_of(algebra: AlmostAbelianAlgebra) -> SegrePartition | None:
         return None
 
 
-def _decide(algebra, partitions, forms, basis_change, rule=None, eigen_data=None) -> Decision:
-    """The Segre partition decides nilpotent input; otherwise ad(f_7), in
-    the basis given by ``basis_change``, annihilating every form certifies
-    YES, and eigenvalue data, if given, decides by ``rule``."""
+def _decide(algebra, partitions, forms, rule=None, eigen_data=None) -> Decision:
+    """The Segre partition decides nilpotent input; otherwise ad(f_7)
+    annihilating every form certifies YES, and eigenvalue data, if given,
+    decides by ``rule``."""
     parts = _partition_of(algebra)
     if parts is not None:
         return Decision.YES if parts.parts in partitions else Decision.NO
     ad = algebra.ad_matrix
-    if basis_change is not None:
-        ad = basis_change.inverse() @ ad @ basis_change
     if all(gl_action(ad, form).is_zero() for form in forms):
         return Decision.YES
     if eigen_data is None:
@@ -499,32 +497,26 @@ def calibrated_decision(
     mode: str,
     *,
     eigen_data: list | None = None,
-    basis_change: Matrix | None = None,
 ) -> Decision:
     """Does the algebra admit a calibrated structure of the given kind?
 
     Nilpotent input is decided exactly from the Segre partition.  General
-    input is decided by a stabilizer-membership certificate (possibly
-    after a caller-supplied basis change), or from caller-supplied real
-    eigenvalue data for a diagonalizable ad-matrix; otherwise UNDECIDABLE.
+    input is decided by a stabilizer-membership certificate, or from
+    caller-supplied real eigenvalue data for a diagonalizable ad-matrix;
+    otherwise UNDECIDABLE.  A caller with a conjugator q decides
+    ``AlmostAbelianAlgebra(7, q.inverse() @ ad @ q)`` instead.
     """
     row = _mode(mode, "calibrated")
-    return _decide(algebra, row.calibrated, (row.rho,), basis_change,
-                   row.eigen_rule, eigen_data)
+    return _decide(algebra, row.calibrated, (row.rho,), row.eigen_rule, eigen_data)
 
 
-def parallel_nondeg_decision(
-    algebra: AlmostAbelianAlgebra,
-    mode: str,
-    *,
-    basis_change: Matrix | None = None,
-) -> Decision:
+def parallel_nondeg_decision(algebra: AlmostAbelianAlgebra, mode: str) -> Decision:
     """Does the algebra admit a parallel structure with non-degenerate
     ideal of the given kind?"""
     row = _mode(mode, "parallel")
     if row.parallel is None:
         raise DomainError("parallel decisions cover the non-degenerate modes only")
-    return _decide(algebra, row.parallel, (row.rho, row.half_omega_sq), basis_change)
+    return _decide(algebra, row.parallel, (row.rho, row.half_omega_sq))
 
 
 # -- Table regeneration -------------------------------------------------------------

@@ -10,8 +10,8 @@ Z[sqrt2] that clears denominators row by row, which keeps intermediate
 entries small on the 35x49 and 35x36 stabilizer systems.  Rows enter the
 integer pairs and results leave them through the two helpers of
 ``scalars`` that every integer kernel shares.  A matrix keeps
-its inverse once computed.  Signatures of symmetric matrices use exact
-congruence diagonalization.
+its inverse once computed.  The signature of a symmetric matrix is counted
+by exact rank-one congruence steps on a copy of its row maps.
 """
 
 from __future__ import annotations
@@ -328,10 +328,47 @@ class Matrix:
         return inv
 
     def signature(self) -> tuple[int, int, int]:
-        """Sylvester signature (positives, negatives, zeros); requires symmetry."""
+        """Sylvester signature (positives, negatives, zeros); requires symmetry.
+
+        Counted by rank-one congruence steps on a copy of the row maps.  With
+        v = e_i for a nonzero a_ii, or v = e_i + e_j for a nonzero a_ij when
+        the diagonal is zero, q = v^T A v is nonzero: count sign(q) and
+        replace A by A - u u^T / q, u = A v, touching the nonzero entries of
+        u only.  That matrix vanishes on v and equals A on the A-orthogonal
+        complement of v, so it keeps the rest of the signature.  The steps
+        end when no entry is left; the rows they did not use are the zeros."""
         if not self.is_symmetric():
             raise ValueError("signature needs a symmetric matrix")
-        return _congruence_signature(self.tolist())
+        a = {i: dict(r) for i, r in self._r.items()}
+        pos = steps = 0
+        while a:
+            i = next((i for i, r in a.items() if i in r), None)
+            if i is not None:
+                u = dict(a[i])
+                q = u[i]
+            else:
+                i, r = next(iter(a.items()))
+                j = next(iter(r))
+                u = dict(r)
+                for k, x in a[j].items():
+                    u[k] = u.get(k, ZERO) + x
+                u = {k: x for k, x in u.items() if not x.is_zero()}
+                q = r[j] + r[j]
+            steps += 1
+            pos += q.sign() > 0
+            inv = q.inverse()
+            for k, x in u.items():
+                row = a[k]
+                f = x * inv
+                for m, y in u.items():
+                    s = row.get(m, ZERO) - f * y
+                    if s.is_zero():
+                        row.pop(m, None)
+                    else:
+                        row[m] = s
+                if not row:
+                    del a[k]
+        return pos, steps - pos, self.rows - steps
 
     def to_float(self) -> list[list[float]]:
         return [[float(x) for x in r] for r in self.tolist()]
@@ -417,50 +454,3 @@ def _pair_div(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
     if ra or rb:
         raise ArithmeticError("inexact division in fraction-free elimination")
     return (qa, qb)
-
-
-def _congruence_signature(a: list[list[Scalar]]) -> tuple[int, int, int]:
-    n = len(a)
-    pos = neg = zero = 0
-    pos_idx = 0
-    while pos_idx < n:
-        if a[pos_idx][pos_idx].is_zero():
-            k = next(
-                (i for i in range(pos_idx + 1, n) if not a[i][i].is_zero()), None
-            )
-            if k is not None:
-                a[pos_idx], a[k] = a[k], a[pos_idx]
-                for row in a:
-                    row[pos_idx], row[k] = row[k], row[pos_idx]
-            else:
-                k = next(
-                    (j for j in range(pos_idx + 1, n) if not a[pos_idx][j].is_zero()),
-                    None,
-                )
-                if k is None:
-                    zero += 1
-                    a = [r[:pos_idx] + r[pos_idx + 1 :] for i, r in enumerate(a) if i != pos_idx]
-                    n -= 1
-                    continue
-                # hyperbolic pair: add row/column k to create a nonzero pivot
-                for j in range(n):
-                    a[pos_idx][j] = a[pos_idx][j] + a[k][j]
-                for i in range(n):
-                    a[i][pos_idx] = a[i][pos_idx] + a[i][k]
-                continue
-        piv = a[pos_idx][pos_idx]
-        if piv.sign() > 0:
-            pos += 1
-        else:
-            neg += 1
-        inv = piv.inverse()
-        for i in range(pos_idx + 1, n):
-            f = a[i][pos_idx] * inv
-            for j in range(n):
-                a[i][j] = a[i][j] - f * a[pos_idx][j]
-        for j in range(pos_idx + 1, n):
-            f = a[pos_idx][j] * inv
-            for i in range(n):
-                a[i][j] = a[i][j] - f * a[i][pos_idx]
-        pos_idx += 1
-    return pos, neg, zero

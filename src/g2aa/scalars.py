@@ -8,11 +8,15 @@ diagnostic / fallback conversion.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import lcm
 from typing import Collection, Union
 
 RationalLike = Union[int, Fraction, str]
+
+_SQRT2_FLOAT = 1.4142135623730951
+_INF = float("inf")
 
 
 class DomainError(ValueError):
@@ -40,33 +44,19 @@ class Scalar:
         """Parse the canonical serialization (see ``__str__``).
 
         Accepted forms: "p/q", "p/q*sqrt2", "p/q+r/s*sqrt2", "p/q-r/s*sqrt2",
-        with integer numerators/denominators and no spaces; else DomainError.
+        where "/q" and "r/s*" may be left out, a leading sign is allowed and
+        p, q, r, s are ASCII digits; spaces are dropped.  Anything else
+        (decimals, exponents, underscores) raises DomainError.
         """
-        s = text.strip().replace(" ", "")
+        m = _SCALAR_TEXT.fullmatch(text.strip().replace(" ", ""))
         try:
-            if "sqrt2" not in s:
-                return Scalar(Fraction(s))
-            head, _, tail = s.partition("sqrt2")
-            if tail:
-                raise ValueError("text after sqrt2")
-            star = head.endswith("*")
-            if star:
-                head = head[:-1]
-            # split off the rational part, if any; find the sign that separates
-            # it from the sqrt2 coefficient (not the leading sign, not one inside /)
-            split = -1
-            for i in range(1, len(head)):
-                if head[i] in "+-" and head[i - 1] not in "+-*/":
-                    split = i
-            if split < 0:
-                rat, coef = "0", head
-            else:
-                rat, coef = head[:split], head[split:]
-            if coef in ("", "+", "-"):
-                if star:
-                    raise ValueError("no coefficient before *sqrt2")
-                coef = coef + "1"
-            return Scalar(Fraction(rat), Fraction(coef))
+            if m is None:
+                raise ValueError("not in the scalar grammar")
+            a = _rational(m["a"] or "0", m["ad"])
+            if m["bs"] is None:
+                return Scalar(a)
+            b = _rational(m["b"] or "1", m["bd"])
+            return Scalar(a, -b if m["bs"] == "-" else b)
         except (ValueError, ZeroDivisionError) as exc:
             raise DomainError(f"malformed scalar {text!r}") from exc
 
@@ -218,7 +208,19 @@ class Scalar:
         return Scalar(self.a, -self.b)
 
     def __float__(self) -> float:
-        return float(self.a) + float(self.b) * 1.4142135623730951
+        a, b = self.a, self.b
+        if not a or not b or (a > 0) == (b > 0):
+            # float() of a Fraction raises on overflow; so does this sum
+            x = float(a) + float(b) * _SQRT2_FLOAT
+            if x in (_INF, -_INF):
+                raise OverflowError("Q(sqrt2) value too large for a float")
+            return x
+        # a and b*sqrt2 have opposite signs and would cancel; their quotient
+        # form (a^2 - 2 b^2) / (a - b*sqrt2) adds terms of one sign, and
+        # dividing through by the part m of larger size keeps every float in
+        # range however large the exact parts are
+        m = a if abs(a) >= abs(b) else b
+        return float((a * a - 2 * b * b) / m) / (float(a / m) - float(b / m) * _SQRT2_FLOAT)
 
     def __str__(self) -> str:
         if not self.b:
@@ -234,6 +236,17 @@ class Scalar:
 
     def __repr__(self) -> str:
         return f"Scalar({self})"
+
+
+# p/q, then [+-] r/s*sqrt2; the rational part is cut off only before a sign
+# or the end, so "2sqrt2" is refused
+_SCALAR_TEXT = re.compile(
+    r"(?!$)(?:(?P<a>[+-]?[0-9]+)(?:/(?P<ad>[0-9]+))?(?=[+-]|$))?"
+    r"(?:(?P<bs>[+-]?)(?:(?P<b>[0-9]+)(?:/(?P<bd>[0-9]+))?\*)?sqrt2)?")
+
+
+def _rational(num: str, den: str | None):
+    return Fraction(int(num), int(den)) if den else int(num)
 
 
 def _coerce(x) -> "Scalar":

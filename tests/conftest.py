@@ -9,11 +9,12 @@ from itertools import combinations, permutations
 
 import pytest
 
-from g2aa.exterior import KForm, interior, wedge
+from g2aa.exterior import KForm, interior, pullback, wedge
+from g2aa.g2 import bilinear_volume_form, phi_model
 from g2aa.geometry import endo_derivative
 from g2aa.liealg import AlmostAbelianAlgebra
 from g2aa.linalg import Echelon, Matrix
-from g2aa.scalars import ONE, ZERO, Scalar
+from g2aa.scalars import HALF, ONE, SQRT2, ZERO, Scalar
 
 
 @pytest.fixture
@@ -64,6 +65,25 @@ def witness_block_matrix(a3: Matrix, b3: Matrix) -> Matrix:
     for (i, j), x in a3.items():
         entries[(i, j)] = entries[(3 + i, 3 + j)] = x
     return Matrix.sparse(6, 6, entries)
+
+
+def signature_cases(rng) -> list[Matrix]:
+    """Symmetric matrices for each path of the rank-one congruence of
+    ``Matrix.signature``: a zero diagonal on which row i + row j cancels an
+    entry; three hyperbolic planes, one e_i + e_j step each; a hyperbolic
+    block inside a definite one; a rank-2 matrix with sqrt2 entries; and
+    the bilinear form B of a dense three-form, scaled by 10^40."""
+    planes = Matrix.sparse(6, 6, {(0, 1): 1, (2, 3): -SQRT2, (4, 5): HALF})
+    v = Matrix([[1, SQRT2, 0, ONE - SQRT2, 2]])
+    w = Matrix([[0, 1, SQRT2, 1, 0]])
+    phi = pullback(random_matrix(rng, 7, sqrt2=True), phi_model(1))
+    return [
+        Matrix([[0, 1, 1, 0], [1, 0, -1, 2], [1, -1, 0, 1], [0, 2, 1, 0]]),
+        planes + planes.transpose(),
+        Matrix([[2, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 3]]),
+        (v.transpose() @ v).scale(SQRT2) - w.transpose() @ w,
+        bilinear_volume_form(phi).scale(10**40),
+    ]
 
 
 def is_abelian_family(endos: list[Matrix]) -> bool:

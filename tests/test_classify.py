@@ -437,7 +437,7 @@ def test_decision_order_partition_then_certificate_then_eigen_data():
 
 def test_basis_change_certificate(rng):
     # non-nilpotent ad-matrices literally in the stabilizers of the model
-    # forms, seen in another basis: only the basis change back certifies them
+    # forms, seen in another basis: only conjugating back certifies them
     literal = {
         "g2": blockdiag(rotation_block(0, 1), rotation_block(0, 2), rotation_block(0, -3)),
         "g2star_24": shape_24(2, (1, 2)),
@@ -455,8 +455,10 @@ def test_basis_change_certificate(rng):
         for decide in decisions:
             assert decide(AlmostAbelianAlgebra(7, ad), mode) is Decision.YES
             assert decide(moved, mode) is Decision.UNDECIDABLE
-            assert decide(moved, mode, basis_change=q.inverse()) is Decision.UNDECIDABLE
-            assert decide(moved, mode, basis_change=q) is Decision.YES
+            further = AlmostAbelianAlgebra(7, q @ moved.ad_matrix @ q.inverse())
+            back = AlmostAbelianAlgebra(7, q.inverse() @ moved.ad_matrix @ q)
+            assert decide(further, mode) is Decision.UNDECIDABLE
+            assert decide(back, mode) is Decision.YES
 
 
 # -- table regeneration -----------------------------------------------------------------

@@ -7,8 +7,10 @@ from g2aa import cli
 from g2aa.classify import NilpotentReport, nilpotent_parallel_report
 from g2aa.cli import (EXIT_DOMAIN, EXIT_INTERNAL, EXIT_MISMATCH, EXIT_OK,
                      _example_a_algebra, main)
-from g2aa.exterior import KForm
+from g2aa.exterior import KForm, pullback
 from g2aa.g2 import phi_model, witt_phi
+from g2aa.liealg import AlmostAbelianAlgebra
+from g2aa.linalg import Matrix
 from g2aa.scalars import Scalar
 
 
@@ -53,6 +55,20 @@ def test_certify_float_fallback(tmp_path, capsys):
                      "metric: float fallback (relation verified to 1e-09)"]
 
 
+def test_certify_float_fallback_does_not_cancel(tmp_path, capsys):
+    # 2 A*phi_minus with A = diag((sqrt2 - 1)^k, 1, ..., 1): det B has parts
+    # of opposite signs that grow with k, and the metric on f_2..f_7 is
+    # 2^(2/3) times the identity for every k
+    for k in range(9):
+        a = Matrix.diagonal([Scalar(-1, 1) ** k] + [1] * 6)
+        path = write_form(tmp_path, pullback(a, phi_model(-1)).scale(2), f"form{k}.json")
+        assert main(["certify", "--form", path, "--format", "json"]) == EXIT_OK, k
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["signature"] == [7, 0, 0] and payload["exact_metric"] is False
+        for i in range(1, 7):
+            assert abs(payload["metric_float"][i][i] - 2 ** (2 / 3)) < 1e-12, (k, i)
+
+
 def test_certify_witt_form_file(tmp_path, capsys):
     path = write_form(tmp_path, witt_phi())
     assert main(["certify", "--form", path, "--format", "json"]) == EXIT_OK
@@ -70,9 +86,6 @@ def test_certify_rejects_decomposable(tmp_path, capsys):
 
 
 def test_rejects_inputs_outside_the_domain(tmp_path, capsys):
-    from g2aa.liealg import AlmostAbelianAlgebra
-    from g2aa.linalg import Matrix
-
     apath = write_algebra(tmp_path, AlmostAbelianAlgebra(8, Matrix.zero(7)))
     fpath = write_form(tmp_path, witt_phi())
     assert main(["decide", "--input", apath, "--mode", "g2"]) == EXIT_DOMAIN
@@ -80,6 +93,11 @@ def test_rejects_inputs_outside_the_domain(tmp_path, capsys):
     assert "dimension 8" in capsys.readouterr().err
     huge = write_form(tmp_path, phi_model(-1).scale(10**40), "huge.json")
     assert main(["certify", "--form", huge]) == EXIT_DOMAIN
+    assert "too large" in capsys.readouterr().out
+    # det B = (7/4)^21 (1 + sqrt2)^792: each part fits a float, their sum does not
+    big = Matrix.diagonal([Scalar(1, 1) ** 88] + [1] * 6)
+    big = write_form(tmp_path, pullback(big, phi_model(-1)).scale(Fraction(7, 4)), "big.json")
+    assert main(["certify", "--form", big]) == EXIT_DOMAIN
     assert "too large" in capsys.readouterr().out
     # n = 7 with a 5x5 ad-matrix, and an entry that is not a scalar
     small = tmp_path / "small.json"
@@ -138,6 +156,9 @@ def test_rejects_inputs_outside_the_domain(tmp_path, capsys):
         (["report", "--input", diag, "--form", repeated], "form index [1, 2, 7] is repeated"),
         (["decide", "--input", diag, "--mode", "g2", "--eigen", "2*sqrt2+1,0,0,0,0,0"],
          "malformed scalar '2*sqrt2+1'"),
+        # an exponent is outside the scalar grammar, in a file or on the command line
+        (["decide", "--input", diag, "--mode", "g2", "--eigen", "1e9,0,0,0,0,0"],
+         "malformed scalar '1e9'"),
         (["decide", "--input", diag, "--mode", "g2", "--kind", "parallel",
           "--eigen", "1,2,3,4,5,6"], "eigen data applies to calibrated decisions only"),
     ]
@@ -149,7 +170,9 @@ def test_rejects_inputs_outside_the_domain(tmp_path, capsys):
             ("ad_bool", {"n": 7, "ad": [[True] + row[1:] for row in ad]},
              "ad entry must be a string or an integer, not True"),
             ("ad_float", {"n": 7, "ad": [[0.5] + row[1:] for row in ad]},
-             "ad entry must be a string or an integer, not 0.5")):
+             "ad entry must be a string or an integer, not 0.5"),
+            ("ad_exponent", {"n": 7, "ad": [["1e9"] + row[1:] for row in ad]},
+             "malformed scalar '1e9'")):
         cases.append((["decide", "--input", write_text(tmp_path, f"{name}.json", json.dumps(doc)),
                         "--mode", "g2"], reason))
     for name, change, reason in (
@@ -241,10 +264,6 @@ def test_decide_builds_no_geometry(tmp_path, monkeypatch, capsys):
 
 def test_report_exact_on_a_large_unit_determinant(tmp_path, capsys):
     # the ninth root (1 + sqrt2)^60 is exact, so the report is exact too
-    from g2aa.exterior import pullback
-    from g2aa.liealg import AlmostAbelianAlgebra
-    from g2aa.linalg import Matrix
-
     a = Matrix.diagonal([Scalar(1, 1) ** 60] + [1] * 6)
     fpath = write_form(tmp_path, pullback(a, phi_model(-1)))
     apath = write_algebra(tmp_path, AlmostAbelianAlgebra(7, Matrix.zero(6)))
@@ -259,9 +278,6 @@ def test_report_rejects_float_metric(tmp_path, capsys):
 
 
 def test_report_abelian_flat(tmp_path, capsys):
-    from g2aa.liealg import AlmostAbelianAlgebra
-    from g2aa.linalg import Matrix
-
     apath = write_algebra(tmp_path, AlmostAbelianAlgebra(7, Matrix.zero(6)))
     fpath = write_form(tmp_path, witt_phi())
     assert main(["report", "--input", apath, "--form", fpath, "--format", "json"]) == EXIT_OK

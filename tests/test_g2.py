@@ -32,7 +32,8 @@ from g2aa.g2 import (
 from g2aa.linalg import Matrix
 from g2aa.scalars import ONE, SQRT2, ZERO, Scalar
 
-from conftest import oracle_bilinear_form, random_form, random_matrix, random_unimodular
+from conftest import (oracle_bilinear_form, random_form, random_matrix, random_unimodular,
+                      signature_cases)
 
 
 # -- stabilizers -----------------------------------------------------------------
@@ -265,6 +266,22 @@ def test_certify_and_star_use_neither_wedge_nor_interior(monkeypatch):
     s = certify_g2(phi)
     assert s.eps == -1 and s.is_exact
     assert not s.star_phi().is_zero()
+
+
+def test_signature_and_certify_make_no_dense_copy(monkeypatch):
+    # the signature's rank-one congruence reads the row maps, so neither it
+    # nor certification needs a dense view of a matrix
+    cases = signature_cases(random.Random(46))
+    expected = [m.signature() for m in cases]
+
+    def refuse(*args):
+        pytest.fail("dense view of a matrix taken")
+
+    for name in ("tolist", "row", "column"):
+        monkeypatch.setattr(Matrix, name, refuse)
+    assert [m.signature() for m in cases] == expected
+    s = certify_g2(pullback(random_matrix(random.Random(47), 7, sqrt2=True), phi_model(1)))
+    assert s.eps == 1 and s.is_exact and s.metric.signature() == (3, 4, 0)
 
 
 def test_certify_rejects_decomposable():

@@ -27,3 +27,28 @@ def test_package_imports_only_the_standard_library():
             if name != "g2aa" and name not in sys.stdlib_module_names:
                 foreign.append(f"{path.name}: {name}")
     assert not foreign, foreign
+
+
+def _unused_imports(tree: ast.AST):
+    """Names an import binds that the module never reads; ``from
+    __future__`` imports bind no name."""
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound = [alias.asname or alias.name.partition(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound = [alias.asname or alias.name for alias in node.names]
+        else:
+            continue
+        yield from (f"{node.lineno}: {name}" for name in bound if name not in read)
+
+
+def test_no_unused_imports():
+    # the package's __init__.py imports its public names to re-export them
+    root = Path(__file__).resolve().parents[1]
+    paths = [p for p in (root / "src" / "g2aa").glob("*.py") if p.name != "__init__.py"]
+    paths += [*(root / "tests").glob("*.py"), *(root / "demos").glob("*.py")]
+    assert len(paths) > 20
+    unused = [f"{path.relative_to(root)}:{line}" for path in sorted(paths)
+              for line in _unused_imports(ast.parse(path.read_text(), str(path)))]
+    assert not unused, unused

@@ -7,7 +7,8 @@ from g2aa.g2 import phi_model, _action_matrix
 from g2aa.linalg import Echelon, Matrix
 from g2aa.scalars import ONE, SQRT2, ZERO, Scalar
 
-from conftest import plain_gauss_rank, random_matrix, random_scalar, random_unimodular
+from conftest import (plain_gauss_rank, random_matrix, random_scalar, random_unimodular,
+                      signature_cases)
 
 
 def test_kernel_identity_and_zero():
@@ -200,10 +201,12 @@ def test_signature_against_descartes_rule():
         u.transpose() @ hyperbolic @ u,                          # degenerate, (2, 3, 1)
         zero_diagonal + zero_diagonal.transpose(),
         WITT_GRAM,
+        *signature_cases(rng),
     ]
     for m in cases:
         assert m.signature() == descartes(m)
-    assert [descartes(m)[2] for m in cases] == [0, 0, 3, 1, 0, 0]
+    assert [descartes(m)[2] for m in cases] == [0, 0, 3, 1, 0, 0, 0, 0, 0, 3, 0]
+    assert [descartes(m) for m in cases[6:10]] == [(2, 2, 0), (3, 3, 0), (3, 1, 0), (1, 1, 3)]
     assert descartes(WITT_GRAM) == (3, 4, 0)
 
 

@@ -1,5 +1,7 @@
+import math
 import random
 import re
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -93,8 +95,31 @@ def test_as_scalar_rejects_junk():
     with pytest.raises(TypeError):
         as_scalar(object())
     # text after sqrt2, or a "*" with no coefficient before it
-    for text in ("1/0", "", "x", "2*sqrt2+1", "sqrt2*3", "sqrt2xyz", "*sqrt2", "1+*sqrt2"):
+    # and anything outside the grammar that Fraction would read: decimals,
+    # exponents (a 9-character exponent is a 13-million-bit integer),
+    # underscores, non-ASCII digits, a missing sign before the sqrt2 part
+    for text in ("1/0", "", "x", "2*sqrt2+1", "sqrt2*3", "sqrt2xyz", "*sqrt2", "1+*sqrt2",
+                 "1.5", "1e3", "1_000", "1e2+1e1*sqrt2", "1e4000000", ".5", "\u0661",
+                 "2sqrt2", "1+2", "1+-2*sqrt2", "1/2/3", "+"):
         with pytest.raises(ValueError, match=re.escape(f"malformed scalar '{text}'")):
             as_scalar(text)
     with pytest.raises(ZeroDivisionError):
         ZERO.inverse()
+
+
+def test_float_does_not_cancel():
+    # +-(1 - sqrt2)^k p/q has parts of opposite signs that grow with k while
+    # the value shrinks; a 60-digit decimal evaluation, which loses under 20
+    # of its digits to the cancellation for these k, is the oracle
+    with localcontext() as ctx:
+        ctx.prec = 60
+        root2 = Decimal(2).sqrt()
+        for k in range(25):
+            for sign, p, q in ((1, 1, 1), (-1, 7, 3), (1, 2, 10**30), (-1, 10**40, 9)):
+                x = Scalar(1, -1) ** k * Scalar(Fraction(sign * p, q))
+                exact = float((Decimal(x.a.numerator) / x.a.denominator
+                               + Decimal(x.b.numerator) / x.b.denominator * root2))
+                assert abs(float(x) - exact) <= 4 * math.ulp(exact), (k, p, q)
+    # parts that fit a float, of a sum that does not
+    with pytest.raises(OverflowError):
+        float(Scalar(10**308, 10**308))
