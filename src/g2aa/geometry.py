@@ -76,16 +76,21 @@ class CurvatureReport:
 
 
 def levi_civita(algebra: AlmostAbelianAlgebra, metric: Matrix) -> ConnectionTable:
-    """Levi-Civita connection of an exact left-invariant metric, built from
-    the nonzero brackets only.
+    """Levi-Civita connection of an exact left-invariant metric, in closed
+    form from M = g A.
 
-    With T[a][b][c] = g([f_a, f_b], f_c), the (k, j) entry of Gamma_i is
-    half the Koszul sum K_i[j][k] = T[i][j][k] - T[j][k][i] + T[k][i][j],
-    and nabla_i = g^{-1} Gamma_i.  The only nonzero brackets are
-    [f_n, f_j] = -[f_j, f_n] = A f_j for j < n, so the only nonzero T are
-    T[n][j][c] = -T[j][n][c] = (g A)[c][j]; each nonzero entry of g A enters
-    the three Koszul terms once with each sign, and every other term is
-    zero."""
+    Here A is ad(f_n) padded with a zero last row and column, so the last
+    column of M is zero.  The only nonzero brackets are
+    [f_n, f_j] = -[f_j, f_n] = A f_j for j < n, and the Koszul formula
+    gives the Christoffel matrices Gamma_i = g nabla_i directly:
+
+    * for i < n-1, Gamma_i = e_n s_i^T - s_i e_n^T, with s_i row i of the
+      symmetric part S = (M + M^T) / 2;
+    * Gamma_{n-1} has (k, j) entry (M[k][j] - M[j][k]) / 2 for k, j < n-1,
+      M[n-1][j] at (n-1, j) and -M[n-1][j] at (j, n-1).
+
+    Each pair {c, j} of the support of M is read once, so every entry of S
+    and of M - M^T is formed once.  Then nabla_i = g^{-1} Gamma_i."""
     n = algebra.n
     if metric.rows != n or metric.cols != n:
         raise ValueError("metric size must match the algebra dimension")
@@ -96,18 +101,29 @@ def levi_civita(algebra: AlmostAbelianAlgebra, metric: Matrix) -> ConnectionTabl
     except ZeroDivisionError as exc:
         raise DegenerateMetricError("metric is degenerate") from exc
     last = n - 1
-    ga = metric @ Matrix.sparse(n, n, dict(algebra.ad_matrix.items()))
-    # half_k[i][(k, j)] = K_i[j][k] / 2, the (k, j) entry of Gamma_i
-    half_k: list[dict[tuple[int, int], Scalar]] = [{} for _ in range(n)]
-    for (c, j), x in ga.items():
-        h = HALF * x
-        for y, slots in ((h, ((last, (c, j)), (c, (last, j)), (j, (last, c)))),
-                         (-h, ((j, (c, last)), (c, (j, last)), (last, (j, c))))):
-            for i, key in slots:
-                v = half_k[i].get(key)
-                half_k[i][key] = y if v is None else v + y
-    christoffel = tuple(Matrix.sparse(n, n, k) for k in half_k)
-    nabla = tuple(ginv @ m for m in christoffel)
+    m = dict((metric @ Matrix.sparse(n, n, dict(algebra.ad_matrix.items()))).items())
+    gammas: list[dict[tuple[int, int], Scalar]] = [{} for _ in range(n)]
+    for (c, j), x in m.items():
+        y = m.get((j, c))
+        if y is not None and c > j:
+            continue  # read at (j, c): each pair {c, j} is read once
+        # s = 2 S[c][j]; S[c][j] = S[j][c] enters Gamma_c and Gamma_j, while
+        # S[n-1][j] would enter Gamma_j only at (n-1, n-1), where it cancels
+        s = x if y is None else x + y
+        if c < last and not s.is_zero():
+            h = HALF * s
+            for i, k in ((c, j), (j, c)):
+                gammas[i][(last, k)] = h
+                gammas[i][(k, last)] = -h
+        # (M - M^T)[c][j] enters Gamma_{n-1}, halved off its last row and column
+        d = ZERO if c == j else x if y is None else x - y
+        if not d.is_zero():
+            if c != last:
+                d = HALF * d
+            gammas[last][(c, j)] = d
+            gammas[last][(j, c)] = -d
+    christoffel = tuple(Matrix.sparse(n, n, k) for k in gammas)
+    nabla = tuple(ginv @ gamma for gamma in christoffel)
     return ConnectionTable(algebra, metric, nabla, christoffel)
 
 
@@ -150,27 +166,32 @@ def _raise(conn: ConnectionTable, u: dict[int, Scalar]) -> Matrix:
 def curvature(conn: ConnectionTable) -> CurvatureReport:
     """Curvature endomorphisms and the Ricci form, built lowered.
 
-    g R(f_i, f_j) = Gamma_i nabla_j - Gamma_j nabla_i - sum_k c_k Gamma_k,
+    g R(f_i, f_j) = Gamma_i nabla_j - Gamma_j nabla_i - g nabla_{[f_i, f_j]},
     and Gamma_j nabla_i = (Gamma_i nabla_j)^T (both Gamma are skew and
     nabla = g^{-1} Gamma), so one product Gamma_i nabla_j gives the lowered
-    coordinates, from which each R is raised once.  The bracket term
-    subtracts c Gamma_k for the nonzero bracket coefficients c only."""
+    coordinates.  The only nonzero brackets are [f_i, f_n] = -A f_i, so the
+    bracket term adds A[k][i] Gamma_k to the pairs (i, n-1) only, for the
+    nonzero entries of column i of A.  Each nonzero R is raised once with
+    the inverse metric; every zero R is one shared zero matrix."""
     algebra = conn.algebra
     n = algebra.n
+    last = n - 1
     nabla = conn.nabla
     upper_gamma = [{a * n + b: x for (a, b), x in m.items() if a < b}
                    for m in conn.christoffel]
+    columns = algebra.ad_matrix.transpose()  # row i is column i of A
+    zero = Matrix.zero(n)
     r: dict[tuple[int, int], Matrix] = {}
     lowered: dict[tuple[int, int], dict[int, Scalar]] = {}
     for i in range(n):
         for j in range(i + 1, n):
             u = _upper(conn.christoffel[i] @ nabla[j])
-            for k, c in enumerate(algebra.bracket(i + 1, j + 1)):
-                if not c.is_zero():
-                    _sub_scaled(u, c, upper_gamma[k])
+            if j == last:
+                for k, c in columns.row_items(i):
+                    _sub_scaled(u, -c, upper_gamma[k])
             u = {k: x for k, x in u.items() if not x.is_zero()}
             lowered[(i, j)] = u
-            r[(i, j)] = _raise(conn, u)
+            r[(i, j)] = _raise(conn, u) if u else zero
     # Ric(f_i, f_j) = sum_k R(f_k, f_i)[k, j]: R(f_a, f_b) enters row b
     # through its row a, and row a, negated, through its row b
     ric: dict[tuple[int, int], Scalar] = {}

@@ -125,17 +125,23 @@ class SegrePartition:
 
 
 def segre_partition(m: Matrix) -> SegrePartition:
-    """Jordan block sizes of a nilpotent matrix, from ranks of powers."""
+    """Jordan block sizes of a nilpotent matrix, from ranks of powers.
+
+    The powers m, m^2, ... are multiplied out up to the first zero one, and
+    every later rank is 0: a matrix whose largest block has size k costs
+    k - 1 products and k - 1 ranks.  An n x n matrix with m^n != 0 is not
+    nilpotent."""
     n = m.rows
     if m.rows != m.cols:
         raise ValueError("matrix must be square")
-    ranks = [n]
-    p = Matrix.identity(n)
-    for _ in range(n):
-        p = p @ m
+    ranks = [n]  # ranks[k] = rank(m^k)
+    p = m
+    while not p.is_zero():
+        if len(ranks) == n:
+            raise NonNilpotentError("matrix is not nilpotent")
         ranks.append(p.rank())
-    if ranks[-1] != 0:
-        raise NonNilpotentError("matrix is not nilpotent")
+        p = p @ m
+    ranks += [0] * (n + 1 - len(ranks))
     # number of blocks of size >= j is rank(m^{j-1}) - rank(m^j)
     at_least = [ranks[j - 1] - ranks[j] for j in range(1, n + 1)]
     sizes: list[int] = []

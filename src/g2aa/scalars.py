@@ -9,6 +9,7 @@ diagnostic / fallback conversion.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from math import lcm
 from typing import Collection, Union
@@ -223,6 +224,13 @@ class Scalar:
         return float((a * a - 2 * b * b) / m) / (float(a / m) - float(b / m) * _SQRT2_FLOAT)
 
     def __str__(self) -> str:
+        try:
+            return self._text()
+        except ValueError as exc:  # an integer past the conversion limit
+            raise DomainError("scalar too large to print: more than "
+                              f"{sys.get_int_max_str_digits()} digits") from exc
+
+    def _text(self) -> str:
         if not self.b:
             return str(self.a)
         coef = str(self.b) if self.b != 1 else ""

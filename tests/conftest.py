@@ -9,6 +9,7 @@ from itertools import combinations, permutations
 
 import pytest
 
+from g2aa.classify import NilpotentParallelParams, build_instance
 from g2aa.exterior import KForm, interior, pullback, wedge
 from g2aa.g2 import bilinear_volume_form, phi_model
 from g2aa.geometry import endo_derivative
@@ -57,6 +58,37 @@ def random_form(rng, dim, degree, terms=3, span=3, sqrt2=False):
 
 def random_algebra(rng, n=7, span=2):
     return AlmostAbelianAlgebra(n, random_matrix(rng, n - 1, span=span))
+
+
+# The witness points (delta, B, v, w) of the nilpotent degenerate sweep.
+SWEEP_WITNESSES = (
+    (1, (0, 0, 0, 0), (0, 0), (0, 0)),
+    (1, (0, 0, 1, 0), (0, 0), (0, 0)),
+    (1, (1, 0, 1, 0), (0, 0), (0, 0)),
+    (1, (1, 0, 0, -1), (0, 0), (0, 0)),
+    (1, (0, 0, 0, 0), (1, 0), (0, 0)),
+    (1, (1, 0, 0, 1), (0, 1), (1, 0)),
+    (-1, (0, 1, 1, 1), (0, 1), (0, 1)),
+    (0, (1, 0, 0, 0), (1, 1), (0, 0)),
+    (0, (0, 0, 0, 0), (1, 1), (0, 0)),
+    (0, (1, 0, 0, 1), (0, 0), (0, 0)),
+    (0, (1, 0, 0, -1), (0, 0), (0, 0)),
+    (0, (0, 0, 0, 0), (0, 0), (1, 0)),
+    (0, (0, 0, 0, 0), (0, 0), (0, 0)),
+)
+
+
+def sweep_params(delta, b, v, w) -> NilpotentParallelParams:
+    return NilpotentParallelParams.of(delta, [[b[0], b[1]], [b[2], b[3]]], v, w)
+
+
+def sweep_witness_pairs() -> list:
+    """(algebra, Witt metric) of the built instance at each sweep witness."""
+    out = []
+    for point in SWEEP_WITNESSES:
+        inst = build_instance(sweep_params(*point))
+        out.append((inst.algebra, inst.structure.metric))
+    return out
 
 
 def witness_block_matrix(a3: Matrix, b3: Matrix) -> Matrix:
@@ -194,7 +226,7 @@ def oracle_levi_civita(algebra: AlmostAbelianAlgebra, metric: Matrix) -> list:
     """nabla_{f_i} as dense lists from the Koszul formula summed over every
     index triple, 2 g(nabla_i f_j, f_k) = g([f_i, f_j], f_k)
     - g([f_j, f_k], f_i) + g([f_k, f_i], f_j), brackets read one pair at a
-    time; independent of the library's nonzero-bracket scatter."""
+    time; independent of the library's closed form in g A."""
     n = algebra.n
     ginv = metric.inverse()
     gb = [[metric.apply(algebra.bracket(i + 1, j + 1)) for j in range(n)] for i in range(n)]
@@ -208,37 +240,58 @@ def oracle_levi_civita(algebra: AlmostAbelianAlgebra, metric: Matrix) -> list:
     return out
 
 
+def _dense_lin(n, terms):
+    """sum c * m over (c, m) in terms, on n x n dense lists."""
+    out = [[ZERO] * n for _ in range(n)]
+    for c, m in terms:
+        if c.is_zero():
+            continue
+        for i in range(n):
+            for j in range(n):
+                out[i][j] = out[i][j] + c * m[i][j]
+    return out
+
+
+def _dense_commutator(a, b):
+    n = len(a)
+
+    def mm(x, y):
+        return [[sum((x[i][k] * y[k][j] for k in range(n)), ZERO) for j in range(n)]
+                for i in range(n)]
+
+    return _dense_lin(n, [(ONE, mm(a, b)), (-ONE, mm(b, a))])
+
+
+def oracle_curvature(conn) -> list:
+    """R(f_i, f_j) for every i, j as dense lists, from the definition
+    R(f_i, f_j) = [nabla_i, nabla_j] - nabla_{[f_i, f_j]}, the bracket read
+    one pair at a time from ``AlmostAbelianAlgebra.bracket``; independent
+    of the library's lowered coordinates and of its bracket shortcut."""
+    n = conn.algebra.n
+    nab = [m.tolist() for m in conn.nabla]
+    return [[_dense_lin(n, [(ONE, _dense_commutator(nab[i], nab[j]))]
+                        + [(-c, nab[k]) for k, c in enumerate(conn.algebra.bracket(i + 1, j + 1))])
+             for j in range(n)] for i in range(n)]
+
+
+def oracle_ricci(r: list) -> list:
+    """Ric(f_i, f_j) = tr(Z -> R(Z, f_i) f_j) = sum_k R(f_k, f_i)[k][j]."""
+    n = len(r)
+    return [[sum((r[k][i][k][j] for k in range(n)), ZERO) for j in range(n)]
+            for i in range(n)]
+
+
 def oracle_nabla_r(conn) -> dict:
     """Every (nabla_z R)(f_x, f_y), x < y, as dense lists, from the
-    definitions alone: R(f_i, f_j) = [nabla_i, nabla_j] - nabla_{[f_i, f_j]}
-    and (nabla_z R)(X, Y) = [nabla_z, R(X, Y)] - R(nabla_z X, Y) - R(X, nabla_z Y),
+    definitions alone: R from ``oracle_curvature`` and
+    (nabla_z R)(X, Y) = [nabla_z, R(X, Y)] - R(nabla_z X, Y) - R(X, nabla_z Y),
     on dense lists of lists."""
     n = conn.algebra.n
     nab = [m.tolist() for m in conn.nabla]
-
-    def lin(terms):
-        out = [[ZERO] * n for _ in range(n)]
-        for c, m in terms:
-            if c.is_zero():
-                continue
-            for i in range(n):
-                for j in range(n):
-                    out[i][j] = out[i][j] + c * m[i][j]
-        return out
-
-    def mm(a, b):
-        return [[sum((a[i][k] * b[k][j] for k in range(n)), ZERO) for j in range(n)]
-                for i in range(n)]
-
-    def br(a, b):
-        return lin([(ONE, mm(a, b)), (-ONE, mm(b, a))])
-
-    r = [[lin([(ONE, br(nab[i], nab[j]))]
-              + [(-c, nab[k]) for k, c in enumerate(conn.algebra.bracket(i + 1, j + 1))])
-          for j in range(n)] for i in range(n)]
+    r = oracle_curvature(conn)
 
     def r_of(u, w):
-        return lin([(u[i] * w[j], r[i][j]) for i in range(n) for j in range(n)])
+        return _dense_lin(n, [(u[i] * w[j], r[i][j]) for i in range(n) for j in range(n)])
 
     def unit(k):
         return [ONE if i == k else ZERO for i in range(n)]
@@ -248,9 +301,9 @@ def oracle_nabla_r(conn) -> dict:
         col = [[nab[z][i][k] for i in range(n)] for k in range(n)]
         for x in range(n):
             for y in range(x + 1, n):
-                out[(z, x, y)] = lin([(ONE, br(nab[z], r[x][y])),
-                                      (-ONE, r_of(col[x], unit(y))),
-                                      (-ONE, r_of(unit(x), col[y]))])
+                out[(z, x, y)] = _dense_lin(n, [(ONE, _dense_commutator(nab[z], r[x][y])),
+                                                (-ONE, r_of(col[x], unit(y))),
+                                                (-ONE, r_of(unit(x), col[y]))])
     return out
 
 

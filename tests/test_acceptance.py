@@ -65,8 +65,8 @@ from g2aa.classify import (
 from g2aa.linalg import Matrix
 from g2aa.scalars import ZERO, Scalar
 
-from conftest import (is_abelian_family, oracle_differential, random_unimodular,
-                      witness_block_matrix)
+from conftest import (SWEEP_WITNESSES, is_abelian_family, oracle_differential,
+                      random_unimodular, sweep_params, witness_block_matrix)
 
 VOL7 = KForm.basis(7, 1, 2, 3, 4, 5, 6, 7)
 HALF = Scalar(Fraction(1, 2))
@@ -227,31 +227,14 @@ def test_criterion_05_example_b():
 
 def _sweep_sample(count: int, bound: int = 2):
     """Deterministic sample of the parameter grid, witness points first."""
-    special = [
-        (1, (0, 0, 0, 0), (0, 0), (0, 0)),
-        (1, (0, 0, 1, 0), (0, 0), (0, 0)),
-        (1, (1, 0, 1, 0), (0, 0), (0, 0)),
-        (1, (1, 0, 0, -1), (0, 0), (0, 0)),
-        (1, (0, 0, 0, 0), (1, 0), (0, 0)),
-        (1, (1, 0, 0, 1), (0, 1), (1, 0)),
-        (-1, (0, 1, 1, 1), (0, 1), (0, 1)),
-        (0, (1, 0, 0, 0), (1, 1), (0, 0)),
-        (0, (0, 0, 0, 0), (1, 1), (0, 0)),
-        (0, (1, 0, 0, 1), (0, 0), (0, 0)),
-        (0, (1, 0, 0, -1), (0, 0), (0, 0)),
-        (0, (0, 0, 0, 0), (0, 0), (1, 0)),
-        (0, (0, 0, 0, 0), (0, 0), (0, 0)),
-    ]
     rng = random.Random(777)
-    points = []
-    for delta, b, v, w in special:
-        points.append(NilpotentParallelParams.of(delta, [[b[0], b[1]], [b[2], b[3]]], v, w))
+    points = [sweep_params(*point) for point in SWEEP_WITNESSES]
     while len(points) < count:
         delta = rng.choice([-1, 0, 1])
         b = [rng.randint(-bound, bound) for _ in range(4)]
         v = (rng.randint(-bound, bound), rng.randint(-bound, bound))
         w = (rng.randint(-bound, bound), rng.randint(-bound, bound))
-        points.append(NilpotentParallelParams.of(delta, [[b[0], b[1]], [b[2], b[3]]], v, w))
+        points.append(sweep_params(delta, b, v, w))
     return points
 
 

@@ -3,8 +3,9 @@
 Each workload runs its warm-up item and the first cycle of items through
 its own ``call`` and ``check``, with its taps installed, and every traced
 function of ``spans.TRACED`` is wrapped and restored.  A change that
-breaks a name, a tap or an oracle of the benchmark fails here.  Nothing in
-perfbench/ is changed.
+breaks a name, a tap or an oracle of the benchmark fails here.  A count of
+the Scalar operations that the sweep spends on its witness points guards
+its per-point work.  Nothing in perfbench/ is changed.
 """
 
 import sys
@@ -12,12 +13,17 @@ from pathlib import Path
 
 import pytest
 
+from g2aa.classify import pipeline_report
+
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 import spans  # noqa: E402
 import workloads  # noqa: E402
 
 ITEMS = 18  # one cycle of the report workload, three of decide
+# Scalar add + sub + mul calls of pipeline_report over the witness points
+# of the sweep, with the certify cache and the metric's inverse warm
+SWEEP_WITNESS_SCALAR_OPS = 622
 
 
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
@@ -56,3 +62,20 @@ def test_every_traced_function_is_wrapped_and_restored():
     patches = spans.Patches()
     spans.count_scalars(patches)
     patches.restore()
+
+
+def test_sweep_witness_scalar_ops_stay_within_their_count(tmp_path):
+    """Scalar operation counts repeat exactly from run to run, unlike
+    times, so they guard the sweep's per-point work against regressions."""
+    sweep = workloads.Sweep(7, tmp_path)
+    points = [sweep.item(i).call for i in range(len(workloads.SWEEP_WITNESSES))]
+    for p in points:  # warm the caches
+        pipeline_report(p)
+    patches = spans.Patches()
+    counts = spans.count_scalars(patches)
+    try:
+        for p in points:
+            pipeline_report(p)
+    finally:
+        patches.restore()
+    assert counts["add"] + counts["sub"] + counts["mul"] <= SWEEP_WITNESS_SCALAR_OPS, counts

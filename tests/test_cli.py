@@ -99,6 +99,18 @@ def test_rejects_inputs_outside_the_domain(tmp_path, capsys):
     big = write_form(tmp_path, pullback(big, phi_model(-1)).scale(Fraction(7, 4)), "big.json")
     assert main(["certify", "--form", big]) == EXIT_DOMAIN
     assert "too large" in capsys.readouterr().out
+    # an exact metric with entries past the integer-to-text limit, printed
+    # by certify and, through the curvature, by report
+    vast = pullback(Matrix.diagonal([10**3000] + [1] * 6), phi_model(-1))
+    vast = write_form(tmp_path, vast, "vast.json")
+    chain = write_algebra(tmp_path, AlmostAbelianAlgebra(7, Matrix.sparse(6, 6, {(0, 1): 1})),
+                          "chain.json")
+    assert main(["certify", "--form", vast, "--format", "json"]) == EXIT_DOMAIN
+    for fmt in ("json", "text"):
+        assert main(["report", "--input", chain, "--form", vast, "--format", fmt]) == EXIT_DOMAIN
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("error: scalar too large to print") == 3
     # n = 7 with a 5x5 ad-matrix, and an entry that is not a scalar
     small = tmp_path / "small.json"
     small.write_text(json.dumps({"n": 7, "ad": [["0"] * 5 for _ in range(5)]}))

@@ -21,10 +21,11 @@ from g2aa.geometry import (
 )
 from g2aa.liealg import AlmostAbelianAlgebra
 from g2aa.linalg import Matrix
-from g2aa.scalars import ZERO, Scalar
+from g2aa.scalars import HALF, SQRT2, ZERO, Scalar
 
-from conftest import (is_abelian_family, oracle_holonomy, oracle_levi_civita, oracle_nabla_r,
-                      random_matrix, random_scalar, random_unimodular)
+from conftest import (is_abelian_family, oracle_curvature, oracle_holonomy, oracle_levi_civita,
+                      oracle_nabla_r, oracle_ricci, random_matrix, random_scalar,
+                      random_unimodular, sweep_witness_pairs)
 
 
 def example_a_algebra():
@@ -109,10 +110,38 @@ def _dense_cases(count):
                random_dense_metric(rng, n))
 
 
+def _sparse_cases():
+    """(algebra, metric) pairs on which M = g A is sparse: the Witt metric
+    at the sweep witnesses, then an M with diagonal entries, an M with both
+    M[c][j] and M[j][c] nonzero, and an M with entries in its last row."""
+    tied = Matrix.sparse(7, 7, {**{(k, k): 1 for k in range(5)}, (5, 5): -1,
+                                (6, 6): 2, (0, 6): 1, (6, 0): 1})
+    return sweep_witness_pairs() + [
+        (AlmostAbelianAlgebra(7, Matrix.diagonal([1, -2, 0, 3, 0, HALF])),
+         Matrix.diagonal([1, -1, 2, 1, 1, -1, 1])),
+        (AlmostAbelianAlgebra(7, Matrix.sparse(6, 6, {(0, 1): 1, (1, 0): 2, (2, 2): -1,
+                                                      (3, 4): SQRT2, (4, 3): SQRT2})),
+         Matrix.identity(7)),
+        (AlmostAbelianAlgebra(7, Matrix.sparse(6, 6, {(0, 0): 2, (0, 1): 1, (2, 3): -1})),
+         tied),
+    ]
+
+
 def test_levi_civita_equals_dense_koszul():
-    for alg, g in _dense_cases(24):
+    sparse = _sparse_cases()
+    corners = [sparse[-3], sparse[-2], sparse[-1]]
+    # each corner case has what its description says: M = g A with a
+    # nonzero diagonal, with M[c][j] and M[j][c] both nonzero, with a
+    # nonzero last row
+    ms = [g @ Matrix.sparse(7, 7, dict(alg.ad_matrix.items())) for alg, g in corners]
+    assert any(ms[0][k, k] for k in range(6))
+    assert any(ms[1][c, j] and ms[1][j, c] for c in range(6) for j in range(c + 1, 6))
+    assert any(True for _ in ms[2].row_items(6))
+    for alg, g in list(_dense_cases(24)) + sparse:
         conn = levi_civita(alg, g)
-        assert [m.tolist() for m in conn.nabla] == oracle_levi_civita(alg, g)
+        want = oracle_levi_civita(alg, g)
+        assert [m.tolist() for m in conn.nabla] == want
+        assert [m.tolist() for m in conn.christoffel] == [(g @ Matrix(w)).tolist() for w in want]
         # the Christoffel matrices Gamma_z = g nabla_z are skew, and for
         # z < n-1 nonzero only in the last row and column
         last = alg.n - 1
@@ -121,6 +150,36 @@ def test_levi_civita_equals_dense_koszul():
             assert gamma.transpose() == -gamma
             if z < last:
                 assert all(last in key for key, _ in gamma.items())
+
+
+def test_curvature_equals_dense_definition():
+    """r, lowered, ricci and both flags against R(f_i, f_j) =
+    [nabla_i, nabla_j] - nabla_{[f_i, f_j]} on dense lists; a zero R is the
+    zero matrix."""
+    zeros = nonzeros = 0
+    for alg, g in list(_dense_cases(6)) + sweep_witness_pairs():
+        conn = levi_civita(alg, g)
+        rep = curvature(conn)
+        n = alg.n
+        want = oracle_curvature(conn)
+        assert sorted(rep.r) == [(i, j) for i in range(n) for j in range(i + 1, n)]
+        for i in range(n):
+            for j in range(n):
+                assert rep.r_of(i, j).tolist() == want[i][j]
+        for key, r in rep.r.items():
+            assert rep.lowered[key] == _strict_upper(g @ r)
+            if r.is_zero():
+                assert r == Matrix.zero(n)
+                zeros += 1
+            else:
+                nonzeros += 1
+        ricci = oracle_ricci(want)
+        assert rep.ricci.tolist() == ricci
+        assert rep.is_flat is all(r.is_zero() for r in rep.r.values())
+        assert rep.is_flat is all(x.is_zero() for line in want for m in line
+                                  for row in m for x in row)
+        assert rep.is_ricci_flat is all(x.is_zero() for row in ricci for x in row)
+    assert zeros and nonzeros
 
 
 def _assert_torsion_free_and_metric(alg, g, conn):

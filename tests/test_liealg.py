@@ -133,6 +133,46 @@ def test_segre_partition_rejects_non_nilpotent():
         segre_partition(Matrix.identity(3))
 
 
+def _nilpotent_jordan(parts) -> Matrix:
+    """The nilpotent Jordan matrix with blocks of the given sizes."""
+    entries, start = {}, 0
+    for size in parts:
+        entries.update({(start + k, start + k + 1): 1 for k in range(size - 1)})
+        start += size
+    return Matrix.sparse(start, start, entries)
+
+
+def test_segre_partition_stops_at_the_first_zero_power(monkeypatch):
+    """Every catalog partition, conjugated by a unimodular P, comes back
+    with at most (largest part) rank computations; non-nilpotent inputs,
+    those whose powers stall at a nonzero rank included, are refused."""
+    rng = random.Random(71)
+    rank = Matrix.rank
+    calls = []
+
+    def counted(self):
+        calls.append(1)
+        return rank(self)
+
+    monkeypatch.setattr(Matrix, "rank", counted)
+    for entry in NILPOTENT_CATALOG:
+        parts = entry.partition.parts
+        p = random_unimodular(rng, 6, shears=10)
+        m = p.inverse() @ _nilpotent_jordan(parts) @ p
+        calls.clear()
+        assert segre_partition(m).parts == parts
+        assert len(calls) <= parts[0]
+    j33 = _nilpotent_jordan((3, 3))
+    stalled = Matrix.sparse(6, 6, {**dict(_nilpotent_jordan((3, 2)).items()), (5, 5): 1})
+    # J_2(1) + diag(1, 2, -1, 0), as in the undecidable inputs of decide
+    j2 = Matrix.sparse(6, 6, {(0, 0): 1, (0, 1): 1, (1, 1): 1, (2, 2): 1, (3, 3): 2, (4, 4): -1})
+    p = random_unimodular(rng, 6, shears=10)
+    for m in (Matrix.identity(6), j33 + Matrix.identity(6).scale(Scalar(0, 1)), stalled,
+              p.inverse() @ stalled @ p, p.inverse() @ j2 @ p, Matrix.diagonal([0] * 5 + [-2])):
+        with pytest.raises(NonNilpotentError):
+            segre_partition(m)
+
+
 def test_segre_similarity_and_scaling_invariance():
     rng = random.Random(34)
     base = example_a_algebra().ad_matrix
