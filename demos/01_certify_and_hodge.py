@@ -35,6 +35,7 @@ except NotG2Error as exc:
     print(f"  NotG2: {exc}")
 
 print()
-print("Scaling leaves the exact field: 2*phi falls back to floats")
+print("Scaling can leave the exact field: for 2*phi, c = 2^(7/3) is not in Q(sqrt2)")
 s2 = certify_g2(phi_model(-1).scale(2))
-print(f"  exact: {s2.is_exact}; metric[0][0] = {s2.metric_float[0][0]:.9f} (= 2^(2/3))")
+print(f"  exact metric: {s2.is_exact}; c^9 = det B = {s2.det_b}")
+print(f"  g~ = sign(det B) B = |c| g, diagonal: {[str(s2.scaled_metric[i, i]) for i in range(7)]}")

@@ -22,7 +22,6 @@ from pathlib import Path
 
 from .exterior import KForm
 from .g2 import (
-    FLOAT_TOL,
     MODEL_TENSORS,
     NotG2Error,
     certify_g2,
@@ -114,14 +113,14 @@ def cmd_certify(args) -> int:
             out["metric"] = [[str(x) for x in s.metric.row(i)] for i in range(7)]
             out["vol_coefficient"] = str(s.vol.coefficient(1, 2, 3, 4, 5, 6, 7))
         else:
-            out["metric_float"] = [list(r) for r in s.metric_float]
-            out["tolerance"] = FLOAT_TOL
+            out["scaled_metric"] = [[str(x) for x in s.scaled_metric.row(i)] for i in range(7)]
+            out["det_b"] = str(s.det_b)
         print(json.dumps(out))
     else:
         sig_text = "definite" if s.eps == -1 else "(3,4)"
         print(f"{kind}, {sig_text}, {s.frame_kind}, stab dim {stab}")
         if not s.is_exact:
-            print(f"metric: float fallback (relation verified to {FLOAT_TOL:g})")
+            print(f"metric: g = g~/|c|, c^9 = det B = {s.det_b}, c not in Q(sqrt2)")
     return EXIT_OK
 
 
@@ -130,7 +129,7 @@ def cmd_report(args) -> int:
     phi = _load_form(args.form)
     s = certify_g2(phi)  # main reports a NotG2Error
     if not s.is_exact:
-        raise DomainError("float metric rejected for the exact pipeline")
+        raise DomainError("the ninth root of det B leaves Q(sqrt2): no exact metric to report on")
     report = analyze(algebra, phi, s.metric)
     star = s.star_phi()
     d_phi = differential(algebra, phi)

@@ -11,7 +11,9 @@ the certification test.  Writing B = c * g with c the real ninth root of
 det(B), the metric g has signature (7,0) (compact case, eps = -1) or
 (3,4) (split case, eps = +1), and the metric volume is c * e^{1...7}.
 ``ninth_root`` finds c, or shows that it leaves Q(sqrt2), with integer
-arithmetic in Z[sqrt2]; only then does certification fall back to floats.
+arithmetic in Z[sqrt2].  Every certified form keeps the exact data
+g~ = sign(det B) B = |c| g and det B = c^9; the metric and volume
+themselves are set only when c lies in Q(sqrt2).
 
 Certification is memoized per form in a cache of 32 entries.  The
 package's own traffic needs one: ``g2aa reproduce all`` certifies one
@@ -20,8 +22,9 @@ a form.  The size is picked to bound memory, not derived from that
 traffic: a certified structure computes its ``star_phi()`` once and keeps
 it, and its metric keeps its inverse, so the Hodge star and the
 Levi-Civita connection share one elimination.  These memos hold about
-8.5 KB per structure of a report, so 32 entries keep at most about 270 KB
-while leaving room for a library caller that alternates among a few forms.
+8.5 KB per structure of a report and g~ about 4.4 KB more, so 32 entries
+keep at most about 410 KB while leaving room for a library caller that
+alternates among a few forms.
 Measured on the report benchmark, peak RSS went from 28.2 to 29.7 MB with
 the memos and 256 entries, and to about 27 MB with 32.
 """
@@ -159,9 +162,10 @@ def joint_stabilizer_algebra(a: KForm, b: KForm) -> list[Matrix]:
 class G2EpsStructure:
     """A certified G2^eps three-form with its induced metric data.
 
-    ``metric``/``vol`` are exact when the required ninth root lies in
-    Q(sqrt2); otherwise they are None and the float fallbacks are set,
-    with the defining relation checked to ``FLOAT_TOL`` relative error.
+    B = c g with c^9 = det B.  ``scaled_metric`` is g~ = sign(det B) B =
+    |c| g and ``det_b`` is det B, both exact for every form.  ``metric``
+    and ``vol`` = c e^{1...7} are exact when the ninth root c lies in
+    Q(sqrt2); otherwise they are None, and g = g~ / |c|.
     """
 
     phi: KForm
@@ -169,8 +173,8 @@ class G2EpsStructure:
     metric: Matrix | None
     vol: KForm | None
     frame_kind: str  # adapted | witt | generic
-    metric_float: tuple[tuple[float, ...], ...] | None = None
-    vol_float: float | None = None
+    scaled_metric: Matrix
+    det_b: Scalar
 
     @property
     def is_exact(self) -> bool:
@@ -188,9 +192,6 @@ class G2EpsStructure:
             object.__setattr__(self, "_star_phi", star)
         return star
 
-
-# relative error allowed in the float fallback's relation c^9 = det B
-FLOAT_TOL = 1e-9
 
 # Gram matrix of the induced metric in a Witt frame:
 # -(F^2)^2 + F^1.F^7 + 2 F^3.F^6 - 2 F^4.F^5
@@ -348,31 +349,20 @@ def _certify_cached(phi: KForm) -> G2EpsStructure:
         raise NotG2Error("induced bilinear form is degenerate")
     # B = c g with c^9 = det B, so c has the sign of det B and g has the
     # signature of B, swapped when det B < 0
+    positive = det_b.sign() > 0
     p, q, z = b.signature()
-    sig = (p, q, z) if det_b.sign() > 0 else (q, p, z)
+    sig = (p, q, z) if positive else (q, p, z)
     if sig not in ((7, 0, 0), (3, 4, 0)):
         raise NotG2Error(f"induced metric has signature {sig}, not (7,0) or (3,4)")
     eps = -1 if sig == (7, 0, 0) else 1
+    scaled = b if positive else -b
     c = ninth_root(det_b)
-    if c is not None:
-        metric = b.scale(c.inverse())
-        vol = KForm(7, 7, {tuple(range(1, 8)): c})
-        return G2EpsStructure(phi, eps, metric, vol, _detect_frame_kind(metric, eps))
-    # float fallback: the ninth root leaves Q(sqrt2)
-    try:
-        det_f = float(det_b)
-        bf = b.to_float()
-    except OverflowError as exc:
-        raise NotG2Error("coefficients too large for the float fallback") from exc
-    if det_f == 0.0:
-        raise NotG2Error("coefficients too small for the float fallback")
-    c_f = _float_ninth_root(det_f)
-    metric_f = tuple(tuple(x / c_f for x in row) for row in bf)
-    rel = abs(c_f**9 - det_f) / max(abs(det_f), 1e-300)
-    if rel > FLOAT_TOL:
-        raise NotG2Error("float fallback failed the defining-relation tolerance")
-    return G2EpsStructure(phi, eps, None, None, "generic",
-                          metric_float=metric_f, vol_float=c_f)
+    if c is None:
+        return G2EpsStructure(phi, eps, None, None, "generic", scaled, det_b)
+    metric = b.scale(c.inverse())
+    vol = KForm(7, 7, {tuple(range(1, 8)): c})
+    return G2EpsStructure(phi, eps, metric, vol, _detect_frame_kind(metric, eps),
+                          scaled, det_b)
 
 
 def certify_g2(phi: KForm) -> G2EpsStructure:
@@ -385,10 +375,6 @@ def certify_g2(phi: KForm) -> G2EpsStructure:
     stabilizer algebra.
     """
     return _certify_cached(phi)
-
-
-def _float_ninth_root(x: float) -> float:
-    return (abs(x) ** (1 / 9.0)) * (1 if x >= 0 else -1)
 
 
 # -- Witt frame -------------------------------------------------------------------

@@ -279,9 +279,11 @@ def holonomy_algebra(conn: ConnectionTable, report: CurvatureReport) -> list[Mat
     maps injectively, so the basis keeps the same elements in the same
     order as on the endomorphisms themselves.  A derivative [nabla_z, h]
     costs one sparse product Gamma_z h and is built as a matrix only when
-    it is kept."""
+    it is kept; a direction z with Gamma_z = 0 gives only zero candidates
+    and is skipped."""
     n = conn.algebra.n
     full = n * (n - 1) // 2
+    moving = [z for z in range(n) if not conn.christoffel[z].is_zero()]
     echelon = Echelon()
     basis: list[Matrix] = []
     # (lowered coordinates, z, h): the candidate is h when z is None, else [nabla_z, h]
@@ -298,7 +300,7 @@ def holonomy_algebra(conn: ConnectionTable, report: CurvatureReport) -> list[Mat
         if not frontier:
             return basis
         candidates = ((_upper(conn.christoffel[z] @ m), z, m)
-                      for m in frontier for z in range(n))
+                      for m in frontier for z in moving)
 
 
 def annihilates(phi: KForm, endos: list[Matrix]) -> bool:

@@ -16,7 +16,6 @@ by exact rank-one congruence steps on a copy of its row maps.
 
 from __future__ import annotations
 
-import operator
 from math import gcd
 from typing import Iterable, Mapping, Sequence
 
@@ -125,20 +124,25 @@ class Matrix:
     # -- algebra -------------------------------------------------------------
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        return self._merge(other, operator.add)
+        return self._merge(other, negate=False)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        return self._merge(other, operator.sub)
+        return self._merge(other, negate=True)
 
-    def _merge(self, other: "Matrix", op) -> "Matrix":
-        """Entrywise ``op(self, other)``, with ``op`` addition or
-        subtraction, in one pass over the nonzero entries of ``other``."""
+    def _merge(self, other: "Matrix", negate: bool) -> "Matrix":
+        """self + other, or self - other with ``negate``, in one pass over
+        the nonzero entries of ``other``.  An entry that only ``other``
+        holds is stored as it is, or negated: no addition to zero."""
         self._check_shape(other)
         out = dict(self._r)
         for i, row in other._r.items():
             acc = dict(out.get(i, _EMPTY))
             for j, x in row.items():
-                v = op(acc.pop(j, ZERO), x)
+                y = acc.pop(j, None)
+                if y is None:
+                    acc[j] = -x if negate else x
+                    continue
+                v = y - x if negate else y + x
                 if not v.is_zero():
                     acc[j] = v
             if acc:
@@ -369,9 +373,6 @@ class Matrix:
                 if not row:
                     del a[k]
         return pos, steps - pos, self.rows - steps
-
-    def to_float(self) -> list[list[float]]:
-        return [[float(x) for x in r] for r in self.tolist()]
 
 
 # -- the elimination engine: fraction-free over Z[sqrt2] ----------------------

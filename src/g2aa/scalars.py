@@ -2,8 +2,7 @@
 
 Every coefficient in this library is a ``Scalar``: a pair of rationals
 (a, b) representing a + b*sqrt(2), stored in lowest terms.  Arithmetic is
-exact; there is no rounding anywhere.  ``float()`` is provided only as a
-diagnostic / fallback conversion.
+exact; there is no rounding anywhere, and no conversion to a float.
 """
 
 from __future__ import annotations
@@ -15,9 +14,6 @@ from math import lcm
 from typing import Collection, Union
 
 RationalLike = Union[int, Fraction, str]
-
-_SQRT2_FLOAT = 1.4142135623730951
-_INF = float("inf")
 
 
 class DomainError(ValueError):
@@ -207,21 +203,6 @@ class Scalar:
     def conjugate(self) -> "Scalar":
         """Galois conjugate a - b*sqrt2."""
         return Scalar(self.a, -self.b)
-
-    def __float__(self) -> float:
-        a, b = self.a, self.b
-        if not a or not b or (a > 0) == (b > 0):
-            # float() of a Fraction raises on overflow; so does this sum
-            x = float(a) + float(b) * _SQRT2_FLOAT
-            if x in (_INF, -_INF):
-                raise OverflowError("Q(sqrt2) value too large for a float")
-            return x
-        # a and b*sqrt2 have opposite signs and would cancel; their quotient
-        # form (a^2 - 2 b^2) / (a - b*sqrt2) adds terms of one sign, and
-        # dividing through by the part m of larger size keeps every float in
-        # range however large the exact parts are
-        m = a if abs(a) >= abs(b) else b
-        return float((a * a - 2 * b * b) / m) / (float(a / m) - float(b / m) * _SQRT2_FLOAT)
 
     def __str__(self) -> str:
         try:

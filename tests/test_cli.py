@@ -40,33 +40,44 @@ def test_certify_split_model_prints_its_signature(capsys):
 
 
 def test_certify_float_fallback(tmp_path, capsys):
-    # 2 phi_minus needs the ninth root of 2^21, which leaves Q(sqrt2)
+    # 2 phi_minus needs the ninth root of 2^21, which leaves Q(sqrt2):
+    # certify prints g~ = sign(det B) B = 8 I and det B exactly
     path = write_form(tmp_path, phi_model(-1).scale(2))
     assert main(["certify", "--form", path, "--format", "json"]) == EXIT_OK
     payload = json.loads(capsys.readouterr().out)
     assert payload["exact_metric"] is False
     assert payload["signature"] == [7, 0, 0]
     assert payload["stabilizer_dim"] == 14
-    assert "metric" not in payload and len(payload["metric_float"]) == 7
-    assert payload["tolerance"] == 1e-9
+    assert "metric" not in payload and "vol_coefficient" not in payload
+    assert payload["scaled_metric"] == [["8" if i == j else "0" for j in range(7)]
+                                        for i in range(7)]
+    assert payload["det_b"] == str(2**21)
     assert main(["certify", "--form", path]) == EXIT_OK
     lines = capsys.readouterr().out.splitlines()
     assert lines == ["G2, definite, generic, stab dim 14",
-                     "metric: float fallback (relation verified to 1e-09)"]
+                     "metric: g = g~/|c|, c^9 = det B = 2097152, c not in Q(sqrt2)"]
+    # 2 phi_plus: the same det B, and g~ of signature (3,4)
+    path = write_form(tmp_path, phi_model(1).scale(2), "plus.json")
+    assert main(["certify", "--form", path, "--format", "json"]) == EXIT_OK
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["signature"] == [3, 4, 0] and payload["det_b"] == str(2**21)
+    assert Matrix(payload["scaled_metric"]).signature() == (3, 4, 0)
 
 
 def test_certify_float_fallback_does_not_cancel(tmp_path, capsys):
-    # 2 A*phi_minus with A = diag((sqrt2 - 1)^k, 1, ..., 1): det B has parts
-    # of opposite signs that grow with k, and the metric on f_2..f_7 is
-    # 2^(2/3) times the identity for every k
+    # 2 A*phi_minus with A = diag(u^k, 1, ..., 1), u = sqrt2 - 1: det B =
+    # 2^21 u^(9k) has parts of opposite signs that grow with k, and
+    # g~ = 8 det(A) A^T A is printed exactly for every k
+    u = Scalar(-1, 1)
     for k in range(9):
-        a = Matrix.diagonal([Scalar(-1, 1) ** k] + [1] * 6)
+        a = Matrix.diagonal([u**k] + [1] * 6)
         path = write_form(tmp_path, pullback(a, phi_model(-1)).scale(2), f"form{k}.json")
         assert main(["certify", "--form", path, "--format", "json"]) == EXIT_OK, k
         payload = json.loads(capsys.readouterr().out)
         assert payload["signature"] == [7, 0, 0] and payload["exact_metric"] is False
-        for i in range(1, 7):
-            assert abs(payload["metric_float"][i][i] - 2 ** (2 / 3)) < 1e-12, (k, i)
+        assert payload["det_b"] == str(2**21 * u ** (9 * k)), k
+        want = Matrix.diagonal([8 * u ** (3 * k)] + [8 * u**k] * 6)
+        assert Matrix(payload["scaled_metric"]) == want, k
 
 
 def test_certify_witt_form_file(tmp_path, capsys):
@@ -91,14 +102,21 @@ def test_rejects_inputs_outside_the_domain(tmp_path, capsys):
     assert main(["decide", "--input", apath, "--mode", "g2"]) == EXIT_DOMAIN
     assert main(["report", "--input", apath, "--form", fpath]) == EXIT_DOMAIN
     assert "dimension 8" in capsys.readouterr().err
+    # no ninth root in Q(sqrt2), and numbers past the range of a float:
+    # certify prints det B exactly, report refuses
     huge = write_form(tmp_path, phi_model(-1).scale(10**40), "huge.json")
-    assert main(["certify", "--form", huge]) == EXIT_DOMAIN
-    assert "too large" in capsys.readouterr().out
-    # det B = (7/4)^21 (1 + sqrt2)^792: each part fits a float, their sum does not
+    assert main(["certify", "--form", huge, "--format", "json"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["det_b"] == str(10**840)
+    # det B = (7/4)^21 (1 + sqrt2)^792
     big = Matrix.diagonal([Scalar(1, 1) ** 88] + [1] * 6)
     big = write_form(tmp_path, pullback(big, phi_model(-1)).scale(Fraction(7, 4)), "big.json")
-    assert main(["certify", "--form", big]) == EXIT_DOMAIN
-    assert "too large" in capsys.readouterr().out
+    assert main(["certify", "--form", big, "--format", "json"]) == EXIT_OK
+    det_b = Scalar(Fraction(7, 4)) ** 21 * Scalar(1, 1) ** 792
+    assert json.loads(capsys.readouterr().out)["det_b"] == str(det_b)
+    flat = write_algebra(tmp_path, AlmostAbelianAlgebra(7, Matrix.zero(6)), "flat.json")
+    for form in (huge, big):
+        assert main(["report", "--input", flat, "--form", form]) == EXIT_DOMAIN
+    assert capsys.readouterr().err.count("error: the ninth root of det B leaves Q(sqrt2)") == 2
     # an exact metric with entries past the integer-to-text limit, printed
     # by certify and, through the curvature, by report
     vast = pullback(Matrix.diagonal([10**3000] + [1] * 6), phi_model(-1))
@@ -134,12 +152,13 @@ def test_rejects_inputs_outside_the_domain(tmp_path, capsys):
     assert main(["decide", "--input", zero, "--kind", "parallel",
                  "--mode", "g2star_deg"]) == EXIT_DOMAIN
     assert "non-degenerate modes only" in capsys.readouterr().err
-    # a float fallback whose determinant underflows
+    # det B = 2^21 10^-840, no ninth root in Q(sqrt2)
     tiny = write_form(tmp_path, phi_model(-1).scale(Scalar(Fraction(2, 10**40))), "tiny.json")
-    assert main(["certify", "--form", tiny]) == EXIT_DOMAIN
-    assert "NotG2: coefficients too small" in capsys.readouterr().out
+    assert main(["certify", "--form", tiny]) == EXIT_OK
+    det_b = Fraction(2**21, 10**840)
+    assert f"c^9 = det B = {det_b}, c not in Q(sqrt2)" in capsys.readouterr().out
     assert main(["report", "--input", zero, "--form", tiny]) == EXIT_DOMAIN
-    assert "NotG2: coefficients too small" in capsys.readouterr().err
+    assert "error: the ninth root of det B leaves Q(sqrt2)" in capsys.readouterr().err
     # a sweep of no points
     assert main(["reproduce", "sweep", "--sweep-limit", "0"]) == EXIT_DOMAIN
     assert main(["reproduce", "sweep", "--sweep-bound", "-1"]) == EXIT_DOMAIN
@@ -287,6 +306,7 @@ def test_report_rejects_float_metric(tmp_path, capsys):
     apath = write_algebra(tmp_path, _example_a_algebra())
     fpath = write_form(tmp_path, phi_model(-1).scale(2))
     assert main(["report", "--input", apath, "--form", fpath]) == EXIT_DOMAIN
+    assert "error: the ninth root of det B leaves Q(sqrt2)" in capsys.readouterr().err
 
 
 def test_report_abelian_flat(tmp_path, capsys):

@@ -314,27 +314,36 @@ def test_certify_equivariance(frame, eps, sign, k):
 
 
 def test_certify_float_fallback_on_scaled_form():
-    # 2*phi scales the metric by 2^(2/3), outside Q(sqrt2)
+    # 2*phi scales B by 8 and det B by 2^21, whose ninth root 2^(7/3)
+    # leaves Q(sqrt2): g~ = sign(det B) B and det B are kept exactly
     s = certify_g2(phi_model(-1).scale(2))
     assert s.eps == -1
-    assert not s.is_exact
+    assert not s.is_exact and s.metric is None and s.vol is None
     assert s.frame_kind == "generic"
-    got = s.metric_float[0][0]
-    assert abs(got - 2 ** (2 / 3)) < 1e-9
+    assert s.scaled_metric == Matrix.identity(7).scale(8)
+    assert s.det_b == 2**21
     with pytest.raises(ValueError):
         s.star_phi()
+    s = certify_g2(phi_model(1).scale(2))
+    assert s.eps == 1 and not s.is_exact
+    assert s.det_b == 2**21
+    assert s.scaled_metric == adapted_metric(1).scale(8)
+    assert s.scaled_metric.signature() == (3, 4, 0)
 
 
 def test_certify_huge_coefficients():
-    # 10^60 phi has the exact metric 10^40 g; 10^40 phi needs the float
-    # fallback, whose coefficients no float can hold, and the determinant
-    # of B for 2 10^-40 phi underflows to 0.0
+    # 10^60 phi has the exact metric 10^40 g; 10^40 phi and 2 10^-40 phi
+    # have no ninth root in Q(sqrt2) and keep g~ and det B exactly, far
+    # outside the range of a float
     s = certify_g2(phi_model(-1).scale(10**60))
     assert s.is_exact and s.metric == Matrix.identity(7).scale(10**40)
-    with pytest.raises(NotG2Error, match="too large"):
-        certify_g2(phi_model(-1).scale(10**40))
-    with pytest.raises(NotG2Error, match="too small"):
-        certify_g2(phi_model(-1).scale(Scalar(Fraction(2, 10**40))))
+    s = certify_g2(phi_model(-1).scale(10**40))
+    assert not s.is_exact and s.eps == -1
+    assert s.scaled_metric == Matrix.identity(7).scale(10**120) and s.det_b == 10**840
+    s = certify_g2(phi_model(-1).scale(Scalar(Fraction(2, 10**40))))
+    assert not s.is_exact and s.eps == -1
+    assert s.scaled_metric == Matrix.identity(7).scale(Fraction(8, 10**120))
+    assert s.det_b == Scalar(Fraction(2**21, 10**840))
 
 
 def test_bilinear_form_matches_metric_times_volume():
@@ -343,6 +352,7 @@ def test_bilinear_form_matches_metric_times_volume():
         b = bilinear_volume_form(phi_model(eps))
         c = s.vol.coefficient(1, 2, 3, 4, 5, 6, 7)
         assert b == s.metric.scale(c)
+        assert s.det_b == c**9 and s.scaled_metric == s.metric.scale(c.sign() * c)
 
 
 def test_bilinear_form_against_wedge_of_wedges():

@@ -52,3 +52,25 @@ def test_no_unused_imports():
     unused = [f"{path.relative_to(root)}:{line}" for path in sorted(paths)
               for line in _unused_imports(ast.parse(path.read_text(), str(path)))]
     assert not unused, unused
+
+
+def _float_uses(tree: ast.AST):
+    """Each ``float`` name, float literal and attribute whose name holds
+    "float", by line."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id == "float":
+            yield f"{node.lineno}: float"
+        elif isinstance(node, ast.Constant) and type(node.value) is float:
+            yield f"{node.lineno}: {node.value!r}"
+        elif isinstance(node, ast.Attribute) and "float" in node.attr.lower():
+            yield f"{node.lineno}: .{node.attr}"
+
+
+def test_package_has_no_float():
+    # every answer is exact over Q(sqrt2): no conversion to, literal of or
+    # attribute named after a float anywhere in the package
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert len(modules) > 1
+    found = [f"{path.name}:{use}" for path in modules
+             for use in _float_uses(ast.parse(path.read_text(), str(path)))]
+    assert not found, found

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -139,7 +140,8 @@ def test_signature_float_oracle():
     numpy = pytest.importorskip("numpy")
 
     def float_signature(m):
-        eig = numpy.linalg.eigvalsh(numpy.array(m.to_float()))
+        rows = [[float(x.a) + float(x.b) * math.sqrt(2) for x in row] for row in m.tolist()]
+        eig = numpy.linalg.eigvalsh(numpy.array(rows))
         pos = int((eig > 1e-8).sum())
         neg = int((eig < -1e-8).sum())
         return pos, neg, m.rows - pos - neg
