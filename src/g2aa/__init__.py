@@ -41,7 +41,6 @@ from .g2 import (
     cubic_invariant,
     half_omega_squared,
     hyperplane_model_type,
-    joint_stabilizer_algebra,
     omega_model,
     omega_null_model,
     phi_model,

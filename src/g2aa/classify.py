@@ -99,7 +99,6 @@ class BuiltInstance:
     algebra: AlmostAbelianAlgebra
     phi: KForm
     structure: G2EpsStructure
-    star_phi: KForm
     family: str
     label: str
 
@@ -254,12 +253,11 @@ def shape_24(case: int, reals: tuple) -> Matrix:
 def _verified_instance(ad: Matrix, phi: KForm, family: str, label: str) -> BuiltInstance:
     algebra = AlmostAbelianAlgebra(7, ad)
     structure = certify_g2(phi)
-    star = structure.star_phi()
     if not differential(algebra, phi).is_zero():
         raise AssertionError(f"instance {label}: three-form is not closed")
-    if not differential(algebra, star).is_zero():
+    if not differential(algebra, structure.star_phi()).is_zero():
         raise AssertionError(f"instance {label}: Hodge dual is not closed")
-    return BuiltInstance(algebra, phi, structure, star, family, label)
+    return BuiltInstance(algebra, phi, structure, family, label)
 
 
 def build_instance(p: ParallelFamilyParams | NilpotentParallelParams) -> BuiltInstance:

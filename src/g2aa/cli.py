@@ -20,16 +20,22 @@ import sys
 import time
 from pathlib import Path
 
-from .exterior import KForm
+from .exterior import KForm, hodge_star
 from .g2 import (
     MODEL_TENSORS,
+    WITT_GRAM,
     NotG2Error,
+    adapted_metric,
     certify_g2,
+    half_omega_squared,
+    omega_null_model,
+    phi_model,
+    rho_model,
+    rho_null_model,
+    stabilizer_algebra,
     witt_frame_from_adapted,
     witt_phi,
     witt_star_phi,
-    phi_model,
-    adapted_metric,
 )
 from .geometry import analyze
 from .liealg import AlmostAbelianAlgebra, differential
@@ -130,6 +136,10 @@ def cmd_report(args) -> int:
     s = certify_g2(phi)  # main reports a NotG2Error
     if not s.is_exact:
         raise DomainError("the ninth root of det B leaves Q(sqrt2): no exact metric to report on")
+    # a metric entry too large to print (Scalar.__str__ raises DomainError)
+    # is refused here, before an analysis that can take minutes on it
+    for _, x in s.metric.items():
+        str(x)
     report = analyze(algebra, phi, s.metric)
     star = s.star_phi()
     d_phi = differential(algebra, phi)
@@ -201,47 +211,28 @@ class _Checks:
 
 
 def _reproduce_stabilizers(check: _Checks):
-    from .g2 import (
-        half_omega_squared,
-        joint_stabilizer_algebra,
-        omega_null_model,
-        rho_model,
-        rho_null_model,
-        stabilizer_algebra,
-    )
-
-    singles = [
-        ("rho_minus", rho_model(-1), 16),
-        ("rho_plus", rho_model(1), 16),
-        ("rho_0", rho_null_model(), 17),
-        ("Omega_0", omega_null_model(), 22),
-    ]
-    for name, form, expect in singles:
-        got = len(stabilizer_algebra(form))
-        check(f"stabilizer dim {name} = {expect}", got == expect)
-    joints = [
-        ("(rho_minus, om_minus^2/2)", rho_model(-1), half_omega_squared(-1), 8),
-        ("(rho_minus, om_plus^2/2)", rho_model(-1), half_omega_squared(1), 8),
-        ("(rho_plus, om_minus^2/2)", rho_model(1), half_omega_squared(-1), 8),
-    ]
-    for name, a, b, expect in joints:
-        got = len(joint_stabilizer_algebra(a, b))
-        check(f"joint stabilizer dim {name} = {expect}", got == expect)
-    for eps in (-1, 1):
-        got = len(stabilizer_algebra(phi_model(eps)))
-        check(f"stabilizer dim phi_eps(eps={eps:+d}) = 14", got == 14)
+    for name, forms, expect in [
+        ("rho_minus", (rho_model(-1),), 16),
+        ("rho_plus", (rho_model(1),), 16),
+        ("rho_0", (rho_null_model(),), 17),
+        ("Omega_0", (omega_null_model(),), 22),
+        ("(rho_minus, om_minus^2/2)", (rho_model(-1), half_omega_squared(-1)), 8),
+        ("(rho_minus, om_plus^2/2)", (rho_model(-1), half_omega_squared(1)), 8),
+        ("(rho_plus, om_minus^2/2)", (rho_model(1), half_omega_squared(-1)), 8),
+        ("phi_eps(eps=-1)", (phi_model(-1),), 14),
+        ("phi_eps(eps=+1)", (phi_model(1),), 14),
+    ]:
+        joint = "joint " if len(forms) > 1 else ""
+        got = len(stabilizer_algebra(*forms))
+        check(f"{joint}stabilizer dim {name} = {expect}", got == expect)
 
 
 def _reproduce_witt(check: _Checks):
-    from .exterior import hodge_star
-
     frame = witt_frame_from_adapted()
     phi1 = phi_model(1)
     star1 = hodge_star(phi1, adapted_metric(1), KForm.basis(7, 1, 2, 3, 4, 5, 6, 7))
     check("witt image of phi", frame.to_witt(phi1) == witt_phi())
     check("witt image of star phi", frame.to_witt(star1) == witt_star_phi())
-    from .g2 import WITT_GRAM
-
     check("witt Gram matrix", frame.gram_in_witt(adapted_metric(1)) == WITT_GRAM)
     s = certify_g2(witt_phi())
     check("witt certification: split with (3,4)", s.eps == 1 and s.frame_kind == "witt")
@@ -254,38 +245,24 @@ def _example_a_algebra() -> AlmostAbelianAlgebra:
         7, Matrix.sparse(6, 6, dict.fromkeys([(0, 2), (2, 3), (1, 4), (4, 5)], -1)))
 
 
-def _example_b_algebra() -> AlmostAbelianAlgebra:
-    return AlmostAbelianAlgebra(7, Matrix.diagonal([2, -1, 2, 2, -1, -1]))
-
-
-def _reproduce_example_a(check: _Checks):
-    algebra = _example_a_algebra()
+def _reproduce_example(check: _Checks, label: str, algebra: AlmostAbelianAlgebra,
+                       d_star: list, d_star_text: str, hol_dim: int, not_parallel: bool):
+    """Checks a Ricci-flat calibrated G2* example of the paper on witt_phi:
+    d phi = 0, d star phi against the terms ``d_star`` (named by
+    ``d_star_text``), Ricci flatness and the holonomy dimension; with
+    ``not_parallel`` also that the holonomy does not annihilate phi."""
     phi = witt_phi()
     s = certify_g2(phi)
-    star = s.star_phi()
-    check("example A: d phi = 0", differential(algebra, phi).is_zero())
-    d_star = differential(algebra, star)
-    expected = KForm.build(7, 5, [(-1, 2, 3, 5, 6, 7)])
-    check("example A: d star phi = -f^23567", d_star == expected)
+    name = f"example {label}"
+    check(f"{name}: d phi = 0", differential(algebra, phi).is_zero())
+    check(f"{name}: d star phi = {d_star_text}",
+          differential(algebra, s.star_phi()) == KForm.build(7, 5, d_star))
     report = analyze(algebra, phi, s.metric)
-    check("example A: Ricci flat", report.is_ricci_flat)
-    check("example A: holonomy dim 3", report.hol_dim == 3)
-    check("example A: not parallel (structure not annihilated)",
-           report.hol_annihilates_phi is False)
-
-
-def _reproduce_example_b(check: _Checks):
-    algebra = _example_b_algebra()
-    phi = witt_phi()
-    s = certify_g2(phi)
-    star = s.star_phi()
-    check("example B: d phi = 0", differential(algebra, phi).is_zero())
-    d_star = differential(algebra, star)
-    expected = KForm.build(7, 5, [(1, 1, 2, 5, 6, 7), (-2, 3, 4, 5, 6, 7)])
-    check("example B: d star phi = f^12567 - 2 f^34567", d_star == expected)
-    report = analyze(algebra, phi, s.metric)
-    check("example B: Ricci flat", report.is_ricci_flat)
-    check("example B: holonomy dim 5", report.hol_dim == 5)
+    check(f"{name}: Ricci flat", report.is_ricci_flat)
+    check(f"{name}: holonomy dim {hol_dim}", report.hol_dim == hol_dim)
+    if not_parallel:
+        check(f"{name}: not parallel (structure not annihilated)",
+              report.hol_annihilates_phi is False)
 
 
 def _reproduce_table1(check: _Checks):
@@ -309,24 +286,30 @@ def _reproduce_sweep(check: _Checks, sample):
     check(f"sweep: closed-form report matches pipeline on {count} points", ok)
 
 
+# The reproduction sections in the order ``reproduce all`` runs them; the
+# sweep, which needs its sample, comes last.
+_SECTIONS = (
+    ("stabilizers", _reproduce_stabilizers),
+    ("witt", _reproduce_witt),
+    ("example_a", lambda check: _reproduce_example(
+        check, "A", _example_a_algebra(), [(-1, 2, 3, 5, 6, 7)], "-f^23567", 3, True)),
+    ("example_b", lambda check: _reproduce_example(
+        check, "B", AlmostAbelianAlgebra(7, Matrix.diagonal([2, -1, 2, 2, -1, -1])),
+        [(1, 1, 2, 5, 6, 7), (-2, 3, 4, 5, 6, 7)], "f^12567 - 2 f^34567", 5, False)),
+    ("table1", _reproduce_table1),
+)
+
+
 def cmd_reproduce(args) -> int:
-    which = args.which
-    # an empty sweep is refused before any check runs
-    sample = (sweep_sample(args.sweep_bound, args.sweep_limit)
-              if which in ("sweep", "all") else None)
+    sections = dict(_SECTIONS)
+    if args.which in ("sweep", "all"):
+        # an empty sweep is refused before any check runs
+        sample = sweep_sample(args.sweep_bound, args.sweep_limit)
+        sections["sweep"] = lambda check: _reproduce_sweep(check, sample)
     check = _Checks(args.format)
-    if which in ("stabilizers", "all"):
-        _reproduce_stabilizers(check)
-    if which in ("witt", "all"):
-        _reproduce_witt(check)
-    if which in ("example_a", "all"):
-        _reproduce_example_a(check)
-    if which in ("example_b", "all"):
-        _reproduce_example_b(check)
-    if which in ("table1", "all"):
-        _reproduce_table1(check)
-    if sample is not None:
-        _reproduce_sweep(check, sample)
+    for name, run in sections.items():
+        if args.which in (name, "all"):
+            run(check)
     if check.failures:
         print(f"first failing check: {check.failures[0]}", file=sys.stderr)
         return EXIT_MISMATCH

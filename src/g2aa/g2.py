@@ -15,18 +15,9 @@ arithmetic in Z[sqrt2].  Every certified form keeps the exact data
 g~ = sign(det B) B = |c| g and det B = c^9; the metric and volume
 themselves are set only when c lies in Q(sqrt2).
 
-Certification is memoized per form in a cache of 32 entries.  The
-package's own traffic needs one: ``g2aa reproduce all`` certifies one
-distinct form (122 cache hits), a sweep one, and report runs never repeat
-a form.  The size is picked to bound memory, not derived from that
-traffic: a certified structure computes its ``star_phi()`` once and keeps
-it, and its metric keeps its inverse, so the Hodge star and the
-Levi-Civita connection share one elimination.  These memos hold about
-8.5 KB per structure of a report and g~ about 4.4 KB more, so 32 entries
-keep at most about 410 KB while leaving room for a library caller that
-alternates among a few forms.
-Measured on the report benchmark, peak RSS went from 28.2 to 29.7 MB with
-the memos and 256 entries, and to about 27 MB with 32.
+Certification is memoized in a cache of one entry, which is what the
+package's traffic needs: ``g2aa reproduce all`` certifies one form 122
+times, a sweep certifies one form, and report runs never repeat a form.
 """
 
 from __future__ import annotations
@@ -141,17 +132,12 @@ def _kernel_to_endos(vectors: list[list[Scalar]], n: int) -> list[Matrix]:
     return [Matrix([v[i * n:(i + 1) * n] for i in range(n)]) for v in vectors]
 
 
-def stabilizer_algebra(a: KForm) -> list[Matrix]:
-    """Exact basis of {A in gl(n) : A.a = 0}."""
-    action = _action_matrix([a])
-    return _kernel_to_endos(action.kernel(), a.dim)
-
-
-def joint_stabilizer_algebra(a: KForm, b: KForm) -> list[Matrix]:
-    """Exact basis of the intersection of the annihilators of a and b."""
-    if a.dim != b.dim:
+def stabilizer_algebra(a: KForm, *others: KForm) -> list[Matrix]:
+    """Exact basis of the joint annihilator {A in gl(n) : A.a = 0 and A.b = 0
+    for every b of others}."""
+    if any(b.dim != a.dim for b in others):
         raise ValueError("forms must share the ambient dimension")
-    action = _action_matrix([a, b])
+    action = _action_matrix([a, *others])
     return _kernel_to_endos(action.kernel(), a.dim)
 
 
@@ -338,7 +324,7 @@ def _detect_frame_kind(metric: Matrix, eps: int) -> str:
     return "generic"
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=1)
 def _certify_cached(phi: KForm) -> G2EpsStructure:
     n = phi.dim
     if n != 7 or phi.degree != 3:
@@ -347,15 +333,13 @@ def _certify_cached(phi: KForm) -> G2EpsStructure:
     det_b = b.det()
     if det_b.is_zero():
         raise NotG2Error("induced bilinear form is degenerate")
-    # B = c g with c^9 = det B, so c has the sign of det B and g has the
-    # signature of B, swapped when det B < 0
-    positive = det_b.sign() > 0
-    p, q, z = b.signature()
-    sig = (p, q, z) if positive else (q, p, z)
+    # B = c g with c^9 = det B, so c has the sign of det B and
+    # g~ = sign(det B) B = |c| g has the signature of g
+    scaled = b if det_b.sign() > 0 else -b
+    sig = scaled.signature()
     if sig not in ((7, 0, 0), (3, 4, 0)):
         raise NotG2Error(f"induced metric has signature {sig}, not (7,0) or (3,4)")
     eps = -1 if sig == (7, 0, 0) else 1
-    scaled = b if positive else -b
     c = ninth_root(det_b)
     if c is None:
         return G2EpsStructure(phi, eps, None, None, "generic", scaled, det_b)
@@ -370,7 +354,7 @@ def certify_g2(phi: KForm) -> G2EpsStructure:
 
     The test is the stability criterion: phi is a G2^eps structure exactly
     when its bilinear form B is non-degenerate (Hitchin; Bryant), and eps
-    is read off the signature of B, swapped when det B < 0.
+    is read off the signature of g~ = sign(det B) B.
     ``tests/test_g2.py`` pins the criterion against the dimension of the
     stabilizer algebra.
     """
@@ -471,20 +455,19 @@ def cubic_invariant(rho: KForm) -> Scalar:
 def hyperplane_model_type(s: G2EpsStructure, covector: KForm) -> HyperplaneType:
     """Classify (phi|_W, star(phi)|_W) for the hyperplane W = ker(covector).
 
-    The type is read off the signature of g|_W and cross-checked against the
-    sign of the cubic invariant of phi|_W; ``ModelTypeMismatchError`` is
-    raised if the two disagree, which no G2^eps structure allows.
+    The type is read off the signature of g|_W, which g~|_W = |c| g|_W has
+    for every certified form, and cross-checked against the sign of the
+    cubic invariant of phi|_W; ``ModelTypeMismatchError`` is raised if the
+    two disagree, which no G2^eps structure allows.
     """
     if covector.dim != 7 or covector.degree != 1:
         raise ValueError("hyperplane must be given by a covector on R^7")
     if covector.is_zero():
         raise ValueError("zero covector does not define a hyperplane")
-    if not s.is_exact:
-        raise ValueError("hyperplane classification requires an exact metric")
     row = [[covector.coefficient(i) for i in range(1, 8)]]
-    # the columns of w are a basis of W: g|_W = w^T g w and phi|_W = w^* phi
+    # the columns of w are a basis of W: g~|_W = w^T g~ w and phi|_W = w^* phi
     w = Matrix.from_columns(Matrix(row).kernel())
-    sig = (w.transpose() @ s.metric @ w).signature()
+    sig = (w.transpose() @ s.scaled_metric @ w).signature()
     rho_w = pullback(w, s.phi)
     lam = cubic_invariant(rho_w)
     if sig[2] > 0:

@@ -278,28 +278,30 @@ def holonomy_algebra(conn: ConnectionTable, report: CurvatureReport) -> list[Mat
     The span test reads a candidate's lowered coordinates, which h -> g h
     maps injectively, so the basis keeps the same elements in the same
     order as on the endomorphisms themselves.  A derivative [nabla_z, h]
-    costs one sparse product Gamma_z h and is built as a matrix only when
-    it is kept; a direction z with Gamma_z = 0 gives only zero candidates
-    and is skipped."""
+    costs one sparse product Gamma_z h, whose lowered coordinates it is
+    tested on, and is raised from them, as ``curvature`` raises R, only
+    when it is kept; a direction z with Gamma_z = 0 gives only zero
+    candidates and is skipped."""
     n = conn.algebra.n
     full = n * (n - 1) // 2
     moving = [z for z in range(n) if not conn.christoffel[z].is_zero()]
     echelon = Echelon()
     basis: list[Matrix] = []
-    # (lowered coordinates, z, h): the candidate is h when z is None, else [nabla_z, h]
-    candidates = ((report.lowered[k], None, m) for k, m in report.r.items())
+    # (lowered coordinates, the endomorphism, or None for a derivative not yet raised)
+    candidates = ((report.lowered[k], m) for k, m in report.r.items())
     while True:
         frontier = []
-        for u, z, h in candidates:
+        for u, m in candidates:
             if echelon.add(u):
-                m = h if z is None else endo_derivative(conn, z, h)
+                if m is None:
+                    m = _raise(conn, u)
                 basis.append(m)
                 if len(basis) == full:
                     return basis
                 frontier.append(m)
         if not frontier:
             return basis
-        candidates = ((_upper(conn.christoffel[z] @ m), z, m)
+        candidates = ((_upper(conn.christoffel[z] @ m), None)
                       for m in frontier for z in moving)
 
 

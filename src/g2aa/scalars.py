@@ -10,6 +10,7 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
+from functools import total_ordering
 from math import lcm
 from typing import Collection, Union
 
@@ -22,6 +23,7 @@ class DomainError(ValueError):
     exit code 2."""
 
 
+@total_ordering
 class Scalar:
     """An element a + b*sqrt(2) of Q(sqrt2), with a, b exact rationals."""
 
@@ -171,24 +173,6 @@ class Scalar:
         if other is NotImplemented:
             return NotImplemented
         return (self - other).sign() < 0
-
-    def __le__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return (self - other).sign() <= 0
-
-    def __gt__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return (self - other).sign() > 0
-
-    def __ge__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return (self - other).sign() >= 0
 
     def __hash__(self):
         if not self.b:

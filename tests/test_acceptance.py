@@ -27,7 +27,6 @@ from g2aa.g2 import (
     adapted_metric,
     certify_g2,
     half_omega_squared,
-    joint_stabilizer_algebra,
     omega_null_model,
     phi_model,
     rho_model,
@@ -124,9 +123,9 @@ def test_criterion_03_stabilizer_dimensions():
         len(stabilizer_algebra(rho_model(1))),
         len(stabilizer_algebra(rho_null_model())),
         len(stabilizer_algebra(omega_null_model())),
-        len(joint_stabilizer_algebra(rho_model(-1), half_omega_squared(-1))),
-        len(joint_stabilizer_algebra(rho_model(-1), half_omega_squared(1))),
-        len(joint_stabilizer_algebra(rho_model(1), half_omega_squared(-1))),
+        len(stabilizer_algebra(rho_model(-1), half_omega_squared(-1))),
+        len(stabilizer_algebra(rho_model(-1), half_omega_squared(1))),
+        len(stabilizer_algebra(rho_model(1), half_omega_squared(-1))),
     ]
     assert dims == [16, 16, 17, 22, 8, 8, 8]
     assert len(stabilizer_algebra(phi_model(-1))) == 14

@@ -141,7 +141,7 @@ def test_build_family_instances_are_parallel():
     for p in cases:
         inst = build_instance(p)  # closure postconditions checked internally
         assert differential(inst.algebra, inst.phi).is_zero()
-        assert differential(inst.algebra, inst.star_phi).is_zero()
+        assert differential(inst.algebra, inst.structure.star_phi()).is_zero()
 
 
 def test_build_instance_eps_and_signatures():

@@ -309,6 +309,20 @@ def test_report_rejects_float_metric(tmp_path, capsys):
     assert "error: the ninth root of det B leaves Q(sqrt2)" in capsys.readouterr().err
 
 
+def test_report_refuses_an_unprintable_metric_before_the_analysis(tmp_path, monkeypatch,
+                                                                   capsys):
+    # A = diag(10^3000, 1, ..., 1): A^* phi_minus has an exact metric with
+    # the entry 10^6000, too large to print
+    def refuse(*args, **kwargs):
+        raise AssertionError("report analyzed a metric it cannot print")
+
+    monkeypatch.setattr(cli, "analyze", refuse)
+    fpath = write_form(tmp_path, pullback(Matrix.diagonal([10**3000] + [1] * 6), phi_model(-1)))
+    apath = write_algebra(tmp_path, _example_a_algebra())
+    assert main(["report", "--input", apath, "--form", fpath]) == EXIT_DOMAIN
+    assert "scalar too large to print" in capsys.readouterr().err
+
+
 def test_report_abelian_flat(tmp_path, capsys):
     apath = write_algebra(tmp_path, AlmostAbelianAlgebra(7, Matrix.zero(6)))
     fpath = write_form(tmp_path, witt_phi())

@@ -17,7 +17,6 @@ from g2aa.g2 import (
     cubic_invariant,
     half_omega_squared,
     hyperplane_model_type,
-    joint_stabilizer_algebra,
     ninth_root,
     omega_null_model,
     phi_model,
@@ -66,7 +65,7 @@ def test_stabilizer_dimensions(form, expected):
     ],
 )
 def test_joint_stabilizer_dimensions(a, b, expected):
-    basis = joint_stabilizer_algebra(a, b)
+    basis = stabilizer_algebra(a, b)
     assert len(basis) == expected
     for m in basis:
         assert gl_action(m, a).is_zero() and gl_action(m, b).is_zero()
@@ -77,7 +76,7 @@ def test_joint_stabilizer_split_pair_block_shape():
     # Q_i = (f_{2i-1}-f_{2i})/2 every element becomes diag(A, -A^t), tr A = 0
     from g2aa.classify import NULL_PAIR_BASIS
 
-    basis = joint_stabilizer_algebra(rho_model(1), half_omega_squared(-1))
+    basis = stabilizer_algebra(rho_model(1), half_omega_squared(-1))
     c = NULL_PAIR_BASIS
     cinv = c.inverse()
     for m in basis:
@@ -92,7 +91,7 @@ def test_joint_stabilizer_split_pair_block_shape():
 
 def test_joint_stabilizer_with_itself():
     rho = rho_model(-1)
-    assert len(joint_stabilizer_algebra(rho, rho)) == len(stabilizer_algebra(rho))
+    assert len(stabilizer_algebra(rho, rho)) == len(stabilizer_algebra(rho))
 
 
 def test_stabilizer_annihilates_hodge_dual_too():
@@ -492,6 +491,18 @@ def test_hyperplane_types_adapted():
     assert hyperplane_model_type(s_plus, cov) is HyperplaneType.RHO_NULL
 
 
+def test_hyperplane_types_without_an_exact_metric():
+    # 2 phi has the ninth root c = 2^(7/3), outside Q(sqrt2); g~ = |c| g has
+    # the signature of g on every hyperplane
+    covectors = [KForm.basis(7, 7), KForm.basis(7, 1), KForm(7, 1, {(1,): ONE, (7,): -ONE})]
+    for eps in (-1, 1):
+        exact = certify_g2(phi_model(eps))
+        scaled = certify_g2(phi_model(eps).scale(2))
+        assert exact.is_exact and not scaled.is_exact
+        for cov in covectors:
+            assert hyperplane_model_type(scaled, cov) is hyperplane_model_type(exact, cov)
+
+
 def test_hyperplane_type_rejects_zero_covector():
     s = certify_g2(phi_model(-1))
     with pytest.raises(ValueError):
@@ -502,7 +513,7 @@ def test_hyperplane_type_rejects_inconsistent_invariants():
     s = certify_g2(phi_model(-1))
     # a metric degenerate on ker f^7 says RHO_NULL, while phi there is
     # rho_minus with negative cubic invariant: the two checks disagree
-    fake = dataclasses.replace(s, metric=Matrix.diagonal([0, 1, 1, 1, 1, 1, 1]))
+    fake = dataclasses.replace(s, scaled_metric=Matrix.diagonal([0, 1, 1, 1, 1, 1, 1]))
     with pytest.raises(ModelTypeMismatchError):
         hyperplane_model_type(fake, KForm.basis(7, 7))
 

@@ -429,6 +429,33 @@ def test_holonomy_matches_reference_closure_and_is_g_skew(nabla_r_cases):
     assert dims[-4:] == [3, 5, 21, 21]
 
 
+# (eps, nonzero entries of ad, dimension of the span of the curvature,
+# holonomy dimension) with the adapted metric of phi_eps: the holonomy is
+# larger than the span of the curvature, so the closure keeps derivatives
+HOLONOMY_BEYOND_CURVATURE = (
+    (-1, {(1, 0): 1, (2, 1): 1, (4, 1): 1}, 4, 6),
+    (-1, {(2, 0): 1, (4, 3): 1, (5, 2): 1}, 11, 15),
+    (1, {(1, 0): 1, (2, 1): -1, (5, 1): 1}, 4, 6),
+    (1, {(0, 0): 1, (3, 2): 1, (5, 3): -1}, 7, 10),
+    (1, {(1, 2): 1, (1, 4): 1, (5, 3): -1}, 9, 10),
+)
+
+
+@pytest.mark.parametrize("eps,entries,span,dim", HOLONOMY_BEYOND_CURVATURE)
+def test_holonomy_keeps_derivatives_beyond_the_curvature(eps, entries, span, dim):
+    alg = AlmostAbelianAlgebra(7, Matrix.sparse(6, 6, entries))
+    conn = levi_civita(alg, adapted_metric(eps))
+    rep = curvature(conn)
+    curv = [[x for row in m.tolist() for x in row] for m in rep.r.values()]
+    assert Matrix(curv).rank() == span
+    basis = holonomy_algebra(conn, rep)
+    assert len(basis) == dim
+    assert basis == oracle_holonomy(conn, rep)
+    for h in basis:
+        gh = conn.metric @ h
+        assert gh.transpose() == -gh
+
+
 # -- lowered coordinates -----------------------------------------------------
 
 

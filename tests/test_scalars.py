@@ -57,6 +57,36 @@ def test_sign_exact():
             assert s.sign() == (1 if f > 0 else -1)
 
 
+# (x, y, sign of x - y); the first cases sit near cancellation
+ORDER_CASES = [
+    (Scalar(3, -2), 0, 1),                    # 3 - 2 sqrt2 = 0.17...
+    (Scalar(Fraction(99, 70)), SQRT2, 1),     # 99/70 - sqrt2 = 7.2e-5
+    (Scalar(Fraction(140, 99)), SQRT2, -1),   # 140/99 - sqrt2 = -3.6e-5
+    (Scalar(577, -408), Fraction(1, 1154), 1),  # 577 - 408 sqrt2 = 1/1153.9...
+    (Scalar(1, 1), Scalar(1, 1), 0),
+    (Scalar(Fraction(1, 2)), Fraction(1, 2), 0),
+    (Scalar(-2), -2, 0),
+    (Scalar(0, -1), -1, -1),
+    (SQRT2, 2, -1),
+    (Scalar(Fraction(-3, 7), Fraction(1, 5)), Scalar(Fraction(-1, 3), Fraction(1, 9)), 1),
+]
+
+
+@pytest.mark.parametrize("x,y,sign", ORDER_CASES)
+def test_ordering_agrees_with_the_sign_of_the_difference(x, y, sign):
+    assert (x - y).sign() == sign
+    for a, b, s in ((x, y, sign), (y, x, -sign)):
+        assert (a < b, a <= b, a > b, a >= b) == (s < 0, s <= 0, s > 0, s >= 0)
+
+
+def test_ordering_against_a_string_raises():
+    for a, b in ((ONE, "1"), ("1", ONE)):
+        for op in (lambda u, v: u < v, lambda u, v: u <= v,
+                   lambda u, v: u > v, lambda u, v: u >= v):
+            with pytest.raises(TypeError):
+                op(a, b)
+
+
 @pytest.mark.parametrize(
     "text,value",
     [
