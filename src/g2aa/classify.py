@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Callable
 
-from .exterior import KForm, gl_action, pullback
+from .exterior import KForm, pullback
 from .g2 import (
     G2EpsStructure,
     certify_g2,
@@ -36,6 +36,7 @@ from .liealg import (
     SegrePartition,
     differential,
     identify_nilpotent,
+    is_stabilized,
     segre_partition,
 )
 from .linalg import Matrix
@@ -479,8 +480,7 @@ def _decide(algebra, partitions, forms, rule=None, eigen_data=None) -> Decision:
     parts = _partition_of(algebra)
     if parts is not None:
         return Decision.YES if parts.parts in partitions else Decision.NO
-    ad = algebra.ad_matrix
-    if all(gl_action(ad, form).is_zero() for form in forms):
+    if all(is_stabilized(algebra, form) for form in forms):
         return Decision.YES
     if eigen_data is None:
         return Decision.UNDECIDABLE

@@ -174,10 +174,10 @@ def cmd_report(args) -> int:
 
 
 def cmd_decide(args) -> int:
-    if args.eigen and args.kind != "calibrated":
+    if args.eigen is not None and args.kind != "calibrated":
         raise DomainError("eigen data applies to calibrated decisions only")
     algebra = _load_algebra(args.input)
-    eigen = [Scalar.from_string(x) for x in args.eigen.split(",")] if args.eigen else None
+    eigen = None if args.eigen is None else [Scalar.from_string(x) for x in args.eigen.split(",")]
     if args.kind == "calibrated":
         got = calibrated_decision(algebra, args.mode, eigen_data=eigen)
     else:

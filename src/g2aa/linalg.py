@@ -7,16 +7,17 @@ nonzeros only.  One elimination engine, ``Echelon``, serves rank, kernel,
 determinant and inverse, and the span tests of the holonomy closure: an
 incremental, sparse, fraction-free (Bareiss) row echelon form over
 Z[sqrt2] that clears denominators row by row, which keeps intermediate
-entries small on the 35x49 and 35x36 stabilizer systems.  Rows enter the
-integer pairs and results leave them through the two helpers of
-``scalars`` that every integer kernel shares.  A matrix keeps
-its inverse once computed.  The signature of a symmetric matrix is counted
-by exact rank-one congruence steps on a copy of its row maps.
+entries small on the 35x49 and 35x36 stabilizer systems.  Kernel and
+inverse back-substitute over its kept rows fraction-free, through the same
+exact division.  Rows enter the integer pairs and results leave them
+through the two helpers of ``scalars`` that every integer kernel shares.
+A matrix keeps its inverse once computed.  The signature of a symmetric
+matrix is counted by exact rank-one congruence steps on a copy of its row
+maps.
 """
 
 from __future__ import annotations
 
-from math import gcd
 from typing import Iterable, Mapping, Sequence
 
 from .scalars import ONE, ZERO, Scalar, _clear_denominators, _pair_scalar, as_scalar
@@ -264,54 +265,17 @@ class Matrix:
 
     def kernel(self) -> list[list[Scalar]]:
         """Basis of the right null space {x : self @ x = 0}: one vector per
-        non-pivot column c, with 1 at c and 0 at the other non-pivot columns.
-
-        Back-substitution runs over the kept rows, bottom-up, in Z[sqrt2]
-        integer pairs: a vector is held as numerator pairs over one common
-        integer denominator, a pivot is divided out through its conjugate
-        and norm, and each vector becomes ``Scalar``s once, at the end.
-        Row k is zero at the pivots of the rows kept before it, so each
-        step reads solved entries only."""
+        non-pivot column c, with 1 at c and 0 at the other non-pivot columns
+        (``Echelon.null_vectors``)."""
         e = self._echelon()
-        ncols = self.cols
         pivots = set(e.pivots)
-        steps = []
-        for r, p in zip(reversed(e.rows), reversed(e.pivots)):
-            a, b = r[p]
-            # x[p] = -(sum of the other entries times x) * conj / norm
-            conj, norm = ((1, 0), a) if b == 0 else ((a, -b), a * a - 2 * b * b)
-            steps.append((p, conj, norm, [(c, x) for c, x in r.items() if c != p]))
-        basis = []
-        for fc in range(ncols):
-            if fc in pivots:
-                continue
-            x = {fc: (1, 0)}
-            den = 1
-            for pcol, conj, norm, entries in steps:
-                sa = sb = 0
-                for c, (ya, yb) in entries:
-                    v = x.get(c)
-                    if v is not None:
-                        sa += ya * v[0] + 2 * yb * v[1]
-                        sb += ya * v[1] + yb * v[0]
-                if not (sa or sb):
-                    continue
-                sa, sb = _pair_mul((sa, sb), conj)
-                g = gcd(sa, sb, norm)
-                sa, sb, d = sa // g, sb // g, norm // g
-                if d != 1:
-                    x = {c: (v[0] * d, v[1] * d) for c, v in x.items()}
-                    den *= d
-                x[pcol] = (-sa, -sb)
-            vec = [ZERO] * ncols
-            for c, (va, vb) in x.items():
-                vec[c] = _pair_scalar(va, vb, den)
-            basis.append(vec)
-        return basis
+        return [[x.get(c, ZERO) for c in range(self.cols)]
+                for x in e.null_vectors(c for c in range(self.cols) if c not in pivots)]
 
     def inverse(self) -> "Matrix":
-        """A^{-1}, read off the kernel of [A | I], which is spanned by the
-        columns of [-A^{-1} ; I] exactly when A is invertible.
+        """A^{-1}, read off the echelon of [A | I].  Its rows are independent,
+        so A is invertible exactly when the pivots are the first n columns;
+        then the null vector at column n + j is column j of [-A^{-1} ; I].
 
         The inverse is kept on the instance, which is immutable, so every
         caller that inverts one metric (``hodge_star``, ``levi_civita``)
@@ -322,12 +286,16 @@ class Matrix:
         if self.rows != self.cols:
             raise ValueError("inverse of a non-square matrix")
         n = self.rows
-        eye = Matrix.identity(n)
         aug = _of(n, 2 * n, {i: {**self._r.get(i, _EMPTY), n + i: ONE} for i in range(n)})
-        basis = aug.kernel()
-        if any(tuple(x[n:]) != eye.row(i) for i, x in enumerate(basis)):
+        e = aug._echelon()
+        if sorted(e.pivots) != list(range(n)):
             raise ZeroDivisionError("matrix is singular")
-        inv = Matrix.from_columns([[-y for y in x[:n]] for x in basis])
+        out: dict[int, dict[int, Scalar]] = {}
+        for j, x in enumerate(e.null_vectors(range(n, 2 * n))):
+            for i, y in x.items():
+                if i < n:
+                    out.setdefault(i, {})[j] = -y
+        inv = _of(n, n, out)
         _set(self, "_inv", inv)
         return inv
 
@@ -430,6 +398,34 @@ class Echelon:
         self.scale *= denom
         return True
 
+    def null_vectors(self, free: Iterable[int]):
+        """For each non-pivot column c of ``free``, the nonzero entries
+        {column: Scalar} of the null vector of the kept rows that is 1 at c
+        and 0 at the other non-pivot columns.
+
+        Fraction-free back-substitution, bottom-up: seeded with x[c] = d, the
+        last pivot, every entry is a minor of the scaled rows (Cramer's
+        rule), so each step x[p_k] = -(r_k . x) / pi_k divides exactly.  Row
+        k is zero at the pivots kept before it and x[p_k] is not set yet, so
+        the step reads solved entries only.  The vector is divided by d once,
+        at the end."""
+        d = self.rows[-1][self.pivots[-1]] if self.rows else (1, 0)
+        a, b = d
+        # 1/d = conj(d) / norm(d)
+        conj, norm = (a, -b), a * a - 2 * b * b
+        for fc in free:
+            x = {fc: d}
+            for r, p in zip(reversed(self.rows), reversed(self.pivots)):
+                sa = sb = 0
+                for c, (ya, yb) in r.items():
+                    v = x.get(c)
+                    if v is not None:
+                        sa += ya * v[0] + 2 * yb * v[1]
+                        sb += ya * v[1] + yb * v[0]
+                if sa or sb:
+                    x[p] = _pair_div((-sa, -sb), r[p])
+            yield {c: _pair_scalar(*_pair_mul(v, conj), norm) for c, v in x.items()}
+
 
 def _pair_mul(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
     a, b = x
@@ -440,7 +436,8 @@ def _pair_mul(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
 
 
 def _pair_div(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
-    # exact division in Z[sqrt2]; Bareiss guarantees divisibility
+    # exact division in Z[sqrt2]: Bareiss, and Cramer's rule in the
+    # back-substitution, guarantee divisibility
     a, b = x
     c, d = y
     if d == 0:

@@ -297,7 +297,7 @@ def _clear_denominators(xs: Collection[Scalar]) -> tuple[int, list[tuple[int, in
 
 
 def _pair_scalar(p: int, q: int, den: int) -> Scalar:
-    """The scalar (p + q*sqrt2) / den, for integers p, q and den > 0."""
+    """The scalar (p + q*sqrt2) / den, for integers p, q and den != 0."""
     if den == 1:
         return Scalar(p, q)
     return Scalar(Fraction(p, den), Fraction(q, den))

@@ -143,6 +143,17 @@ def test_rejects_inputs_outside_the_domain(tmp_path, capsys):
     zero = write_algebra(tmp_path, AlmostAbelianAlgebra(7, Matrix.zero(6)), "zero.json")
     assert main(["decide", "--input", zero, "--mode", "g2", "--eigen", "1,x"]) == EXIT_DOMAIN
     assert "malformed scalar '1/0'" in capsys.readouterr().err
+    # an empty --eigen= is eigen data with a malformed value, not absent
+    # data: on undecidable and on nilpotent input, and in a parallel decision
+    diag = write_algebra(tmp_path, AlmostAbelianAlgebra(7, Matrix.diagonal([1, -1, 0, 0, 0, 0])),
+                         "diag.json")
+    for path in (diag, zero):
+        assert main(["decide", "--input", path, "--mode", "g2", "--eigen="]) == EXIT_DOMAIN
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("error: malformed scalar ''") == 2
+    assert main(["decide", "--input", zero, "--kind", "parallel", "--mode", "g2",
+                 "--eigen="]) == EXIT_DOMAIN
+    assert "eigen data applies to calibrated decisions only" in capsys.readouterr().err
     # certify has no tolerance option; argparse refuses it with exit 2
     with pytest.raises(SystemExit) as refused:
         main(["certify", "--form", "phi_plus", "--tol", "1e-9"])

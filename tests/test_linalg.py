@@ -85,31 +85,42 @@ def test_inverse_and_solve():
         v = [Scalar(rng.randint(-3, 3)) for _ in range(n)]
         x = m.inverse().apply(v)
         assert m.apply(x) == v
-    with pytest.raises(ZeroDivisionError):
-        Matrix([[1, 2, 0], [2, 4, 0], [0, 1, 1]]).inverse()
+    # the pivot 1 + 2 sqrt2 has norm -7: 1/(1 + 2 sqrt2) = (2 sqrt2 - 1)/7
+    assert Matrix([[Scalar(1, 2)]]).inverse() == Matrix([[Scalar(Fraction(-1, 7),
+                                                                 Fraction(2, 7))]])
+    # invertible with pivots kept in the order [1, 0, 2]
+    m = Matrix([[0, 2, 1], [SQRT2, 1, 0], [0, 0, Fraction(1, 3)]])
+    assert m._echelon().pivots == [1, 0, 2]
+    assert m @ m.inverse() == Matrix.identity(3) == m.inverse() @ m
+    # singular: a pivot of [A | I] leaves the first n columns
+    for singular in (Matrix([[1, 2, 0], [2, 4, 0], [0, 1, 1]]), Matrix([[0, 1], [0, 2]]),
+                     Matrix.zero(2)):
+        with pytest.raises(ZeroDivisionError):
+            singular.inverse()
 
 
 def test_inverse_is_computed_once_per_instance(monkeypatch):
-    kernels = []
-    original = Matrix.kernel
+    # every elimination starts a new Echelon; keep each one to read its pivots
+    eliminations = []
+    original = Echelon.__init__
 
     def counted(self):
-        kernels.append(self.shape)
-        return original(self)
+        original(self)
+        eliminations.append(self)
 
-    monkeypatch.setattr(Matrix, "kernel", counted)
+    monkeypatch.setattr(Echelon, "__init__", counted)
     m = Matrix([[2, 1, 0], [1, SQRT2, 0], [0, 0, Fraction(1, 3)]])
     first = m.inverse()
     assert m.inverse() is first and m.inverse().apply([1, 0, 0]) == list(first.column(0))
-    assert kernels == [(3, 6)]
+    assert [e.pivots for e in eliminations] == [[0, 1, 2]]
     # an equal but distinct instance keeps its own memo
-    assert Matrix(m.tolist()).inverse() == first and len(kernels) == 2
+    assert Matrix(m.tolist()).inverse() == first and len(eliminations) == 2
     # a singular matrix is refused on every call, and nothing is kept
     singular = Matrix([[1, 2], [2, 4]])
     for _ in range(2):
         with pytest.raises(ZeroDivisionError):
             singular.inverse()
-    assert len(kernels) == 4
+    assert len(eliminations) == 4
 
 
 def test_signature_examples():
@@ -284,12 +295,29 @@ def test_solvers_against_sympy():
 
     rng = random.Random(17)
     deficient = 0
-    for m in _oracle_cases(rng):
+    edge_cases = [
+        # the last pivot 2 + 4 sqrt2, after clearing the 1/2, has norm -28
+        Matrix([[1, 0, 3], [0, Scalar(1, 2), Fraction(1, 2)]]),
+        # no kept row: the basis is the identity
+        Matrix.zero(2, 3),
+        # pivots kept in the order [1, 0, 2]
+        Matrix([[0, 2, 1, 5], [SQRT2, 1, 0, -1], [0, 0, Fraction(1, 3), SQRT2]]),
+        Matrix([[0, 2, 1], [SQRT2, 1, 0], [0, 0, Fraction(1, 3)]]),
+        # singular, with a zero first column
+        Matrix([[0, 1], [0, 2]]),
+    ]
+    for m in [*_oracle_cases(rng), *edge_cases]:
         ref = dm(m.tolist())
         assert m.rank() == ref.rank()
         deficient += m.rank() < min(m.shape)
         if m.rows == m.cols:
             assert elem(m.det()) == ref.det()
+            if m.rank() == m.rows:
+                ref_inv = ref.inv().to_list()
+                assert [[elem(x) for x in r] for r in m.inverse().tolist()] == ref_inv
+            else:
+                with pytest.raises(ZeroDivisionError):
+                    m.inverse()
         vecs = m.kernel()
         ref_null = ref.nullspace().to_list()
         assert len(vecs) == len(ref_null) == m.cols - ref.rank()
