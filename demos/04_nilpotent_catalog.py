@@ -10,7 +10,7 @@ non-degenerate classification; nothing is copied from stored answers.
 
 from g2aa.classify import TABLE1_EXPECTED, regenerate_table1
 
-rows = regenerate_table1(bound=1)
+rows = regenerate_table1()
 header = f"{'algebra':14s} {'bracket':42s} {'parallel':9s} {'dim Hol':10s} {'non-flat loc.sym.'}"
 print(header)
 print("-" * len(header))

@@ -585,13 +585,13 @@ def _grid_points(bound: int, indices):
                                          (v1, v2), (w1, w2))
 
 
-def regenerate_table1(bound: int = 1) -> list[TableRow]:
-    """Rebuild the catalog table from report sweeps and the non-degenerate
-    parallel classification, not from stored answers."""
+def regenerate_table1() -> list[TableRow]:
+    """Rebuild the catalog table from report sweeps over the bound-1 grid and
+    the non-degenerate parallel classification, not from stored answers."""
     hol_dims: dict[str, set[int]] = {e.name: set() for e in NILPOTENT_CATALOG}
     nonflat_ls: dict[str, bool] = {e.name: False for e in NILPOTENT_CATALOG}
     deg_realized: set[str] = set()
-    for p in sweep_parameter_grid(bound):
+    for p in sweep_parameter_grid(1):
         rep = nilpotent_parallel_report(p)
         deg_realized.add(rep.algebra_name)
         hol_dims[rep.algebra_name].add(rep.hol_dim)
@@ -630,11 +630,11 @@ def _algebra_with_partition(entry: NilpotentCatalogEntry) -> AlmostAbelianAlgebr
     return AlmostAbelianAlgebra(7, Matrix(rows))
 
 
-def table1_diff(bound: int = 1) -> list[str]:
+def table1_diff() -> list[str]:
     """Human-readable differences between the regenerated table and the
     expected one; empty when they agree."""
     out = []
-    for got, want in zip(regenerate_table1(bound), TABLE1_EXPECTED):
+    for got, want in zip(regenerate_table1(), TABLE1_EXPECTED):
         if got != want:
             out.append(f"{want.name}: regenerated {got} != expected {want}")
     return out

@@ -119,9 +119,6 @@ class KForm:
     def is_zero(self) -> bool:
         return not self._t
 
-    def support(self) -> list[tuple[int, ...]]:
-        return sorted(self._t)
-
     # -- algebra -------------------------------------------------------------
 
     def _check(self, other: "KForm"):

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .exterior import KForm, gl_action, wedge
+from .exterior import KForm, gl_action
 from .linalg import Matrix
 from .scalars import ZERO, Scalar, json_int, json_list, json_object, json_scalar
 
@@ -71,36 +71,23 @@ class AlmostAbelianAlgebra:
 def differential(algebra: AlmostAbelianAlgebra, a: KForm) -> KForm:
     """Chevalley-Eilenberg differential of a form on the algebra.
 
-    Splitting a = rho + sigma ^ f^n with rho, sigma not involving f^n,
-    da = f^n ^ (ad.rho); the sigma part is closed.
+    With a = rho + sigma ^ f^n, rho and sigma forms on u, the sigma part is
+    closed and da = f^n ^ (ad.rho), ad = ad(f_n)|_u acting on rho as a form
+    on u; f^n ^ e^I = (-1)^|I| e^{In} appends the index n with sign (-1)^k.
     """
     n = algebra.n
     if a.dim != n:
         raise ValueError(f"form must live on the {n}-dimensional algebra")
-    if a.degree >= n:
-        return KForm(n, a.degree + 1, {})
-    rho = KForm(n, a.degree, {idx: c for idx, c in a.items() if n not in idx})
-    full = Matrix.sparse(n, n, dict(algebra.ad_matrix.items()))
-    fn = KForm.basis(n, n)
-    return wedge(fn, gl_action(full, rho))
-
-
-def _on_ideal(algebra: AlmostAbelianAlgebra, a: KForm) -> KForm:
-    """Reinterpret a form with no f^n component as a form on u."""
-    n = algebra.n
-    if a.dim == n - 1:
-        return a
-    if a.dim == n:
-        if any(n in idx for idx in a.support()):
-            raise ValueError("form has an f^n component; not a form on the ideal")
-        return KForm(n - 1, a.degree, {idx: c for idx, c in a.items()})
-    raise ValueError("form dimension matches neither the algebra nor its ideal")
+    rho = KForm(n - 1, a.degree, {idx: c for idx, c in a.items() if n not in idx})
+    odd = a.degree % 2
+    return KForm(n, a.degree + 1, {idx + (n,): -c if odd else c
+                                   for idx, c in gl_action(algebra.ad_matrix, rho).items()})
 
 
 def is_stabilized(algebra: AlmostAbelianAlgebra, a: KForm) -> bool:
-    """True iff ad(f_n)|_u annihilates the form (a form on u)."""
-    rho = _on_ideal(algebra, a)
-    return gl_action(algebra.ad_matrix, rho).is_zero()
+    """True iff ad(f_n)|_u annihilates ``a``, a form on the ideal u (so iff ``a``
+    is closed on the algebra); other dimensions raise DimensionMismatchError."""
+    return gl_action(algebra.ad_matrix, a).is_zero()
 
 
 # -- nilpotent classification ---------------------------------------------------

@@ -30,8 +30,10 @@ class Scalar:
     __slots__ = ("a", "b")
 
     def __init__(self, a: RationalLike = 0, b: RationalLike = 0):
-        object.__setattr__(self, "a", a if type(a) is Fraction else Fraction(a))
-        object.__setattr__(self, "b", b if type(b) is Fraction else Fraction(b))
+        object.__setattr__(self, "a", a if type(a) is Fraction else
+                           Fraction(a) if type(a) is int else _fraction(a))
+        object.__setattr__(self, "b", b if type(b) is Fraction else
+                           Fraction(b) if type(b) is int else _fraction(b))
 
     def __setattr__(self, name, value):
         raise AttributeError("Scalar is immutable")
@@ -220,6 +222,17 @@ _SCALAR_TEXT = re.compile(
 
 def _rational(num: str, den: str | None):
     return Fraction(int(num), int(den)) if den else int(num)
+
+
+def _fraction(x) -> Fraction:
+    """A ``Scalar`` part that is neither an int nor a Fraction.  A str must be
+    a rational in the scalar grammar, not in Fraction's wider one."""
+    if not isinstance(x, str):
+        return Fraction(x)
+    s = Scalar.from_string(x)
+    if s.b:
+        raise DomainError(f"malformed scalar {x!r}")
+    return s.a
 
 
 def _coerce(x) -> "Scalar":

@@ -297,7 +297,7 @@ def test_criterion_07_identification_sweep():
 
 
 def test_criterion_08_table_regeneration():
-    diff = table1_diff(bound=1)
+    diff = table1_diff()
     assert diff == []
     print("PASS criterion 8: catalog table regenerated, diff empty (11 rows)")
 

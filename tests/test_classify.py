@@ -465,8 +465,8 @@ def test_basis_change_certificate(rng):
 
 
 def test_table1_regeneration_matches_expected():
-    assert table1_diff(bound=1) == []
-    rows = regenerate_table1(bound=1)
+    assert table1_diff() == []
+    rows = regenerate_table1()
     assert len(rows) == 11
     by_name = {r.name: r for r in rows}
     assert by_name["n_{7,4}"].hol_dims == (0, 1, 2)

@@ -88,12 +88,24 @@ def test_certify_witt_form_file(tmp_path, capsys):
     assert payload["signature"] == [3, 4, 0]
     assert payload["frame"] == "witt"
     assert payload["stabilizer_dim"] == 14
+    # the Witt form by name reads as the same form
+    assert main(["certify", "--form", "witt_phi", "--format", "json"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out) == payload
 
 
 def test_certify_rejects_decomposable(tmp_path, capsys):
     path = write_form(tmp_path, KForm.basis(7, 1, 2, 3))
     assert main(["certify", "--form", path]) == EXIT_DOMAIN
     assert "NotG2" in capsys.readouterr().out
+    assert main(["certify", "--form", path, "--format", "json"]) == EXIT_DOMAIN
+    assert json.loads(capsys.readouterr().out) == {
+        "certified": False, "reason": "induced bilinear form is degenerate"}
+    # report certifies the form first and refuses it on stderr
+    apath = write_algebra(tmp_path, _example_a_algebra())
+    assert main(["report", "--input", apath, "--form", path]) == EXIT_DOMAIN
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "NotG2: induced bilinear form is degenerate\n"
 
 
 def test_rejects_inputs_outside_the_domain(tmp_path, capsys):
@@ -269,6 +281,12 @@ def test_report_example_a(tmp_path, capsys):
     assert payload["hol_annihilates_phi"] is False
     # JSON round-trips
     assert json.loads(json.dumps(payload)) == payload
+    # the text format prints the flags and the nonzero curvature pairs
+    assert main(["report", "--input", apath, "--form", "witt_phi", "--format", "text"]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines() == [
+        "eps: 1", "calibrated: True", "coclosed: False", "parallel: False", "flat: False",
+        "ricci_flat: True", "locally_symmetric: False", "hol_dim: 3",
+        "hol_annihilates_phi: False", "nonzero R(f_i,f_j) pairs: ['2,7', '5,7', '6,7']"]
 
 
 def test_decide_builds_no_geometry(tmp_path, monkeypatch, capsys):

@@ -5,7 +5,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from g2aa.exterior import KForm, wedge
+from g2aa.exterior import DimensionMismatchError, KForm, wedge
 from g2aa.g2 import certify_g2, witt_phi
 from g2aa.liealg import (
     AlmostAbelianAlgebra,
@@ -50,10 +50,11 @@ def test_differential_witt_structure():
 
 
 def test_differential_matches_oracle_randomized():
+    # every degree 0..n, so the top degrees n - 1 and n are compared too
     rng = random.Random(31)
     for _ in range(40):
         alg = random_algebra(rng, n=rng.choice([4, 5, 6, 7]))
-        f = random_form(rng, alg.n, rng.randint(1, 3))
+        f = random_form(rng, alg.n, rng.randint(0, alg.n), sqrt2=rng.random() < 0.5)
         assert differential(alg, f) == oracle_differential(alg, f)
 
 
@@ -80,7 +81,7 @@ def test_d_squared_zero_on_random_algebras_and_forms(data, n):
     ad = data.draw(st.lists(st.lists(scalars, min_size=n - 1, max_size=n - 1),
                             min_size=n - 1, max_size=n - 1))
     alg = AlmostAbelianAlgebra(n, Matrix(ad))
-    k = data.draw(st.integers(0, n - 2))
+    k = data.draw(st.integers(0, n))
     idx = data.draw(st.lists(st.sampled_from(list(combinations(range(1, n + 1), k))),
                              min_size=1, max_size=5, unique=True))
     a = KForm(n, k, {i: data.draw(scalars) for i in idx})
@@ -119,6 +120,9 @@ def test_is_closed_examples():
     alg_b = AlmostAbelianAlgebra(7, Matrix.diagonal([2, -1, 2, 2, -1, -1]))
     assert is_stabilized(alg_b, phi_u)
     assert not is_stabilized(alg_b, star_u)
+    # is_stabilized takes a form on the ideal only
+    with pytest.raises(DimensionMismatchError):
+        is_stabilized(alg, KForm(7, 3, dict(phi_u.items())))
 
 
 def test_segre_partition_examples():

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from g2aa.scalars import HALF_SQRT2, ONE, SQRT2, ZERO, Scalar, as_scalar
+from g2aa.scalars import HALF_SQRT2, ONE, SQRT2, ZERO, DomainError, Scalar, as_scalar
 
 
 def test_basic_arithmetic():
@@ -127,10 +127,17 @@ def test_as_scalar_rejects_junk():
     # and anything outside the grammar that Fraction would read: decimals,
     # exponents (a 9-character exponent is a 13-million-bit integer),
     # underscores, non-ASCII digits, a missing sign before the sqrt2 part
-    for text in ("1/0", "", "x", "2*sqrt2+1", "sqrt2*3", "sqrt2xyz", "*sqrt2", "1+*sqrt2",
-                 "1.5", "1e3", "1_000", "1e2+1e1*sqrt2", "1e4000000", ".5", "\u0661",
-                 "2sqrt2", "1+2", "1+-2*sqrt2", "1/2/3", "+"):
+    junk = ("1/0", "", "x", "2*sqrt2+1", "sqrt2*3", "sqrt2xyz", "*sqrt2", "1+*sqrt2",
+            "1.5", "1e3", "1_000", "1e2+1e1*sqrt2", "1e4000000", ".5", "\u0661",
+            "2sqrt2", "1+2", "1+-2*sqrt2", "1/2/3", "+")
+    for text in junk:
         with pytest.raises(ValueError, match=re.escape(f"malformed scalar '{text}'")):
             as_scalar(text)
+    # the constructor reads a str part by the same grammar, as a rational
+    for text in junk + ("sqrt2", "1-1/2*sqrt2"):
+        for parts in ((text,), (0, text)):
+            with pytest.raises(DomainError, match=re.escape(f"malformed scalar '{text}'")):
+                Scalar(*parts)
+    assert Scalar("1/2", "-3") == Scalar(Fraction(1, 2), -3)
     with pytest.raises(ZeroDivisionError):
         ZERO.inverse()
