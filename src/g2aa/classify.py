@@ -185,10 +185,6 @@ def iota(z_re: Matrix, z_im: Matrix) -> Matrix:
     return Matrix.sparse(6, 6, entries)
 
 
-def _extend_by_identity(p: Matrix) -> Matrix:
-    return Matrix.sparse(7, 7, {**dict(p.items()), (6, 6): ONE})
-
-
 # Pairing basis for the split three-form rho_plus: in the null coordinates
 # P_i = (f_{2i-1} + f_{2i})/2, Q_i = (f_{2i-1} - f_{2i})/2 its stabilizer is
 # block-diagonal {diag(A, -A^t)}.
@@ -242,10 +238,8 @@ def shape_24(case: int, reals: tuple) -> Matrix:
                          rotation_block(0, -(c + d)))
     if case == 3:
         e = as_scalar(reals[0])
-        m = blockdiag(rotation_block(0, e), rotation_block(0, e),
-                      rotation_block(0, -2 * e)).tolist()
-        m[0][2] = m[1][3] = ONE
-        return Matrix(m)
+        return (blockdiag(rotation_block(0, e), rotation_block(0, e), rotation_block(0, -2 * e))
+                + Matrix.sparse(6, 6, dict.fromkeys([(0, 2), (1, 3)], ONE)))
     if case == 4:
         return Matrix.sparse(6, 6, dict.fromkeys([(0, 2), (1, 3), (2, 4), (3, 5)], ONE))
     raise ValueError("case must be 1..4")
@@ -275,8 +269,8 @@ def build_instance(p: ParallelFamilyParams | NilpotentParallelParams) -> BuiltIn
         return _verified_instance(ad, phi_model(-1), "g2_su3", f"su3 a={a} b={b}")
     if p.family == "g2star_24":
         ad = shape_24(p.case, p.reals)
-        conj = _CONJ_24[p.case]
-        phi = pullback(_extend_by_identity(conj), phi_model(1))
+        # the conjugator acts on u and fixes f_7
+        phi = pullback(blockdiag(_CONJ_24[p.case], Matrix.identity(1)), phi_model(1))
         return _verified_instance(ad, phi, "g2star_24", f"su(1,2) case {p.case}")
     if p.family == "g2star_33":
         block = p.block
@@ -590,10 +584,8 @@ def regenerate_table1() -> list[TableRow]:
     the non-degenerate parallel classification, not from stored answers."""
     hol_dims: dict[str, set[int]] = {e.name: set() for e in NILPOTENT_CATALOG}
     nonflat_ls: dict[str, bool] = {e.name: False for e in NILPOTENT_CATALOG}
-    deg_realized: set[str] = set()
     for p in sweep_parameter_grid(1):
         rep = nilpotent_parallel_report(p)
-        deg_realized.add(rep.algebra_name)
         hol_dims[rep.algebra_name].add(rep.hol_dim)
         if rep.locally_symmetric and not rep.flat:
             nonflat_ls[rep.algebra_name] = True
@@ -601,7 +593,7 @@ def regenerate_table1() -> list[TableRow]:
     for entry in NILPOTENT_CATALOG:
         algebra = _algebra_with_partition(entry)
         nondeg = parallel_nondeg_decision(algebra, "g2star_24") is Decision.YES
-        parallel = nondeg or entry.name in deg_realized
+        parallel = nondeg or bool(hol_dims[entry.name])
         dims = set(hol_dims[entry.name])
         if nondeg:
             dims.add(0)  # non-degenerate parallel structures are flat
@@ -620,14 +612,11 @@ def regenerate_table1() -> list[TableRow]:
 
 
 def _algebra_with_partition(entry: NilpotentCatalogEntry) -> AlmostAbelianAlgebra:
-    """A representative nilpotent ad-matrix with the entry's partition."""
-    rows = [[ZERO] * 6 for _ in range(6)]
-    pos = 0
-    for size in entry.partition.parts:
-        for k in range(size - 1):
-            rows[pos + k][pos + k + 1] = ONE
-        pos += size
-    return AlmostAbelianAlgebra(7, Matrix(rows))
+    """A representative nilpotent ad-matrix with the entry's partition: one
+    nilpotent Jordan block per part."""
+    return AlmostAbelianAlgebra(7, blockdiag(*(
+        Matrix.sparse(size, size, dict.fromkeys([(k, k + 1) for k in range(size - 1)], ONE))
+        for size in entry.partition.parts)))
 
 
 def table1_diff() -> list[str]:

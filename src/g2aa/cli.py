@@ -68,6 +68,8 @@ def _read_json(source: str, what: str, parse):
         return parse(json.loads(path.read_text()))
     except json.JSONDecodeError as exc:
         raise DomainError(f"{source} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise DomainError(f"{source} nests JSON too deeply") from exc
     except KeyError as exc:
         raise DomainError(f"{source} has no key {exc}") from exc
     except (TypeError, ValueError, OverflowError) as exc:

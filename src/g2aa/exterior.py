@@ -15,7 +15,6 @@ elimination engine of ``linalg``, and builds each result ``Scalar`` once.
 from __future__ import annotations
 
 import json
-from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
 from .linalg import Matrix
@@ -316,7 +315,6 @@ def hodge_star(a: KForm, metric: Matrix, orientation_vol: KForm) -> KForm:
     return KForm(n, n - a.degree, acc)
 
 
-@lru_cache(maxsize=1024)
 def _complement(idx: tuple[int, ...], n: int) -> tuple[tuple[int, ...], int]:
     """The complement I^c of an index tuple I in 1..n and the sign of the
     permutation (I, I^c): e^I ^ e^{I^c} = sign * e^{1...n}."""

@@ -430,6 +430,16 @@ class HyperplaneType(Enum):
         return f"({self.value[0]}, {self.value[1]})"
 
 
+# the non-degenerate restrictions: signature of g|_W -> (type, sign of the
+# cubic invariant of phi|_W); g is positive definite for eps = -1 and of
+# signature (3,4) for eps = 1
+_HYPERPLANE_TYPES = {
+    (6, 0, 0): (HyperplaneType.RHO_MINUS_OM_MINUS, -1),
+    (2, 4, 0): (HyperplaneType.RHO_MINUS_OM_PLUS, -1),
+    (3, 3, 0): (HyperplaneType.RHO_PLUS_OM_MINUS, 1),
+}
+
+
 def structure_map(rho: KForm) -> Matrix:
     """K(v) = A((v -| rho)^rho) for a three-form on R^6, with A the
     canonical pairing of five-forms against the volume e^{1...6}."""
@@ -470,28 +480,15 @@ def hyperplane_model_type(s: G2EpsStructure, covector: KForm) -> HyperplaneType:
     sig = (w.transpose() @ s.scaled_metric @ w).signature()
     rho_w = pullback(w, s.phi)
     lam = cubic_invariant(rho_w)
+    # the type from the signature, cross-validated by the orbit invariant
     if sig[2] > 0:
         result = HyperplaneType.RHO_NULL
-        expect_zero = True
-    elif s.eps == -1:
-        result = HyperplaneType.RHO_MINUS_OM_MINUS
-        expect_zero = False
-    elif sig == (2, 4, 0):
-        result = HyperplaneType.RHO_MINUS_OM_PLUS
-        expect_zero = False
-    elif sig == (3, 3, 0):
-        result = HyperplaneType.RHO_PLUS_OM_MINUS
-        expect_zero = False
+        ok = lam.is_zero() and not structure_map(rho_w).is_zero()
+    elif sig in _HYPERPLANE_TYPES:
+        result, lam_sign = _HYPERPLANE_TYPES[sig]
+        ok = lam.sign() == lam_sign
     else:
         raise ValueError(f"unexpected restricted signature {sig}")
-    # cross-validation by the orbit invariant
-    lam_sign = lam.sign()
-    if expect_zero:
-        ok = lam_sign == 0 and not structure_map(rho_w).is_zero()
-    elif result is HyperplaneType.RHO_PLUS_OM_MINUS:
-        ok = lam_sign > 0
-    else:
-        ok = lam_sign < 0
     if not ok:
         raise ModelTypeMismatchError(
             f"orbit invariant {lam} inconsistent with signature classification {result}"

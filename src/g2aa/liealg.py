@@ -128,14 +128,10 @@ def segre_partition(m: Matrix) -> SegrePartition:
             raise NonNilpotentError("matrix is not nilpotent")
         ranks.append(p.rank())
         p = p @ m
-    ranks += [0] * (n + 1 - len(ranks))
-    # number of blocks of size >= j is rank(m^{j-1}) - rank(m^j)
-    at_least = [ranks[j - 1] - ranks[j] for j in range(1, n + 1)]
-    sizes: list[int] = []
-    for j in range(n, 0, -1):
-        count = at_least[j - 1] - (at_least[j] if j < n else 0)
-        sizes.extend([j] * count)
-    return SegrePartition(tuple(sorted(sizes, reverse=True)))
+    # rank(m^{j-1}) - rank(m^j) blocks have size >= j, and the last power is
+    # zero: the block sizes are the conjugate partition of these drops
+    drops = [r - s for r, s in zip(ranks, ranks[1:] + [0])]
+    return SegrePartition(tuple(sum(d >= i for d in drops) for i in range(1, drops[0] + 1)))
 
 
 @dataclass(frozen=True)

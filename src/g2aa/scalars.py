@@ -225,14 +225,17 @@ def _rational(num: str, den: str | None):
 
 
 def _fraction(x) -> Fraction:
-    """A ``Scalar`` part that is neither an int nor a Fraction.  A str must be
-    a rational in the scalar grammar, not in Fraction's wider one."""
-    if not isinstance(x, str):
+    """A ``Scalar`` part whose type is neither int nor Fraction: a str must be
+    a rational in the scalar grammar, not in Fraction's wider one, and any
+    part but a str, an int or a Fraction (bool included) raises TypeError."""
+    if isinstance(x, str):
+        s = Scalar.from_string(x)
+        if s.b:
+            raise DomainError(f"malformed scalar {x!r}")
+        return s.a
+    if isinstance(x, (int, Fraction)):
         return Fraction(x)
-    s = Scalar.from_string(x)
-    if s.b:
-        raise DomainError(f"malformed scalar {x!r}")
-    return s.a
+    raise TypeError(f"cannot interpret {x!r} as a rational scalar part")
 
 
 def _coerce(x) -> "Scalar":

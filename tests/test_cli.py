@@ -258,6 +258,12 @@ def test_rejects_inputs_outside_the_domain(tmp_path, capsys):
         doc = {"dim": 7, "degree": 3, "terms": terms}
         cases.append((["certify", "--form", write_text(tmp_path, f"{name}.json", json.dumps(doc))],
                       reason))
+    # nesting past the recursion limit of every supported interpreter (3.12 and
+    # 3.13 parse 1 200 levels), in every command that reads a file
+    deep = write_text(tmp_path, "deep.json", "[" * 100_000 + "]" * 100_000)
+    cases += [(["decide", "--input", deep, "--mode", "g2"], "deep.json nests JSON too deeply"),
+              (["report", "--input", deep, "--form", "witt_phi"], "deep.json nests JSON too deeply"),
+              (["certify", "--form", deep], "deep.json nests JSON too deeply")]
     for argv, reason in cases:
         assert main(argv) == EXIT_DOMAIN, argv
         captured = capsys.readouterr()

@@ -516,6 +516,11 @@ def test_hyperplane_type_rejects_inconsistent_invariants():
     fake = dataclasses.replace(s, scaled_metric=Matrix.diagonal([0, 1, 1, 1, 1, 1, 1]))
     with pytest.raises(ModelTypeMismatchError):
         hyperplane_model_type(fake, KForm.basis(7, 7))
+    # a G2 form whose metric is (3,3) on ker f^7 says RHO_PLUS_OM_MINUS, and
+    # the type is read off the signature for either eps
+    fake = dataclasses.replace(s, scaled_metric=Matrix.diagonal([1, 1, 1, -1, -1, -1, 1]))
+    with pytest.raises(ModelTypeMismatchError):
+        hyperplane_model_type(fake, KForm.basis(7, 7))
 
 
 def test_hyperplane_type_invariance_under_pullback():

@@ -1,6 +1,7 @@
 import math
 import random
 import re
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -139,5 +140,11 @@ def test_as_scalar_rejects_junk():
             with pytest.raises(DomainError, match=re.escape(f"malformed scalar '{text}'")):
                 Scalar(*parts)
     assert Scalar("1/2", "-3") == Scalar(Fraction(1, 2), -3)
+    # a float or Decimal part is refused, as as_scalar refuses it; a bool is an int
+    for value in (0.1, 1e300, Decimal("0.1")):
+        for parts in ((value,), (0, value)):
+            with pytest.raises(TypeError):
+                Scalar(*parts)
+    assert Scalar(True, False) == ONE
     with pytest.raises(ZeroDivisionError):
         ZERO.inverse()
