@@ -132,24 +132,19 @@ def structure_matrix(a2: Matrix, b2: Matrix, v, w) -> Matrix:
         [  0       Jv      A-trA I2   B   ]
         [  0       0       0          A   ]
     """
-    v = [as_scalar(v[0]), as_scalar(v[1])]
-    w = [as_scalar(w[0]), as_scalar(w[1])]
-    tra = a2.trace()
-    trb = b2.trace()
-    rows = [[ZERO] * 6 for _ in range(6)]
-    rows[0][0] = -tra
-    rows[0][1] = -trb
-    rows[0][2], rows[0][3] = v[0], v[1]
-    rows[0][4], rows[0][5] = w[0], w[1]
-    rows[1][4], rows[1][5] = v[0], v[1]
-    rows[2][1] = v[1]
-    rows[3][1] = -v[0]
-    for i in range(2):
-        for j in range(2):
-            rows[2 + i][2 + j] = a2[i, j] - (tra if i == j else ZERO)
-            rows[2 + i][4 + j] = b2[i, j]
-            rows[4 + i][4 + j] = a2[i, j]
-    return Matrix(rows)
+    v1, v2 = as_scalar(v[0]), as_scalar(v[1])
+    w1, w2 = as_scalar(w[0]), as_scalar(w[1])
+    (a11, a12), (a21, a22) = a2.row(0), a2.row(1)
+    (b11, b12), (b21, b22) = b2.row(0), b2.row(1)
+    # the nonzero entries in row-major order; A - tr(A) I2 = [[-a22, a12], [a21, -a11]]
+    return Matrix.sparse(6, 6, {
+        (0, 0): -a2.trace(), (0, 1): -b2.trace(), (0, 2): v1, (0, 3): v2, (0, 4): w1, (0, 5): w2,
+        (1, 4): v1, (1, 5): v2,
+        (2, 1): v2, (2, 2): -a22, (2, 3): a12, (2, 4): b11, (2, 5): b12,
+        (3, 1): -v1, (3, 2): a21, (3, 3): -a11, (3, 4): b21, (3, 5): b22,
+        (4, 4): a11, (4, 5): a12,
+        (5, 4): a21, (5, 5): a22,
+    })
 
 
 def nilpotent_structure_matrix(p: NilpotentParallelParams) -> Matrix:
@@ -264,9 +259,7 @@ def build_instance(p: ParallelFamilyParams | NilpotentParallelParams) -> BuiltIn
         return _verified_instance(ad, witt_phi(), "g2star_deg", label)
     if p.family == "g2_su3":
         a, b = (as_scalar(p.reals[0]), as_scalar(p.reals[1]))
-        ad = blockdiag(rotation_block(0, a), rotation_block(0, b),
-                       rotation_block(0, -(a + b)))
-        return _verified_instance(ad, phi_model(-1), "g2_su3", f"su3 a={a} b={b}")
+        return _verified_instance(shape_24(2, (a, b)), phi_model(-1), "g2_su3", f"su3 a={a} b={b}")
     if p.family == "g2star_24":
         ad = shape_24(p.case, p.reals)
         # the conjugator acts on u and fixes f_7
@@ -597,17 +590,8 @@ def regenerate_table1() -> list[TableRow]:
         dims = set(hol_dims[entry.name])
         if nondeg:
             dims.add(0)  # non-degenerate parallel structures are flat
-        rows.append(
-            TableRow(
-                entry.name,
-                entry.dual_brackets,
-                parallel,
-                tuple(sorted(dims)),
-                nonflat_ls[entry.name],
-            )
-        )
-    order = {r.name: i for i, r in enumerate(TABLE1_EXPECTED)}
-    rows.sort(key=lambda r: order[r.name])
+        rows.append(TableRow(entry.name, entry.dual_brackets, parallel, tuple(sorted(dims)),
+                             nonflat_ls[entry.name]))
     return rows
 
 

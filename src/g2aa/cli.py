@@ -43,6 +43,7 @@ from .linalg import Matrix
 from .classify import (
     CALIBRATED_MODES,
     Decision,
+    _partition_of,
     calibrated_decision,
     nilpotent_parallel_report,
     parallel_nondeg_decision,
@@ -267,6 +268,15 @@ def _reproduce_example(check: _Checks, label: str, algebra: AlmostAbelianAlgebra
               report.hol_annihilates_phi is False)
 
 
+def _reproduce_example_a(check: _Checks):
+    algebra = _example_a_algebra()
+    _reproduce_example(check, "A", algebra, [(-1, 2, 3, 5, 6, 7)], "-f^23567", 3, True)
+    # Malcev: rational structure constants give a lattice, a compact nilmanifold
+    check("example A: nilpotent with integer structure constants (compact quotient)",
+          _partition_of(algebra) is not None
+          and all(x.is_rational() and x.a.denominator == 1 for _, x in algebra.ad_matrix.items()))
+
+
 def _reproduce_table1(check: _Checks):
     diff = table1_diff()
     for line in diff:
@@ -293,8 +303,7 @@ def _reproduce_sweep(check: _Checks, sample):
 _SECTIONS = (
     ("stabilizers", _reproduce_stabilizers),
     ("witt", _reproduce_witt),
-    ("example_a", lambda check: _reproduce_example(
-        check, "A", _example_a_algebra(), [(-1, 2, 3, 5, 6, 7)], "-f^23567", 3, True)),
+    ("example_a", _reproduce_example_a),
     ("example_b", lambda check: _reproduce_example(
         check, "B", AlmostAbelianAlgebra(7, Matrix.diagonal([2, -1, 2, 2, -1, -1])),
         [(1, 1, 2, 5, 6, 7), (-2, 3, 4, 5, 6, 7)], "f^12567 - 2 f^34567", 5, False)),

@@ -299,20 +299,26 @@ def hodge_star(a: KForm, metric: Matrix, orientation_vol: KForm) -> KForm:
     along g^{-1}, so star(beta) = v0 * sum_I (g^{-1*} beta)_I sign(I, I^c) e^{I^c}.
     """
     n = a.dim
-    if metric.rows != n or metric.cols != n:
-        raise DimensionMismatchError("metric size must match form dimension")
+    ginv = _metric_inverse(metric, n)
     if orientation_vol.degree != n or orientation_vol.is_zero():
         raise ValueError("orientation volume must be a nonzero top form")
-    try:
-        ginv = metric.inverse()
-    except ZeroDivisionError as exc:
-        raise DegenerateMetricError("metric is degenerate") from exc
     v0 = orientation_vol.coefficient(*range(1, n + 1))
     acc: dict[tuple[int, ...], Scalar] = {}
     for idx, val in pullback(ginv, a).items():
         comp, sg = _complement(idx, n)
         acc[comp] = v0 * val if sg > 0 else -(v0 * val)
     return KForm(n, n - a.degree, acc)
+
+
+def _metric_inverse(metric: Matrix, n: int) -> Matrix:
+    """The inverse of an n x n metric; DimensionMismatchError for any other
+    size, DegenerateMetricError for a singular metric."""
+    if metric.rows != n or metric.cols != n:
+        raise DimensionMismatchError(f"metric size must match the dimension {n}")
+    try:
+        return metric.inverse()
+    except ZeroDivisionError as exc:
+        raise DegenerateMetricError("metric is degenerate") from exc
 
 
 def _complement(idx: tuple[int, ...], n: int) -> tuple[tuple[int, ...], int]:

@@ -31,7 +31,7 @@ from itertools import combinations
 
 from .exterior import (KForm, _complement, gl_action, hodge_star, interior, pullback,
                        sort_indices, wedge)
-from .linalg import Matrix
+from .linalg import Matrix, _pair_dot
 from .scalars import HALF, HALF_SQRT2, ONE, ZERO, Scalar, _clear_denominators, _pair_scalar
 
 
@@ -247,16 +247,9 @@ def bilinear_volume_form(phi: KForm) -> Matrix:
     flip = -1 if k % 2 == 0 else 1
     scale = 6 * den**3
     entries = {}
-    for i in range(n):
-        hook = hooks[i]
+    for i, hook in enumerate(hooks):
         for j in range(i, n):
-            col = ph[j]
-            sa = sb = 0
-            for idx, (ha, hb) in hook.items():
-                y = col.get(idx)
-                if y is not None:
-                    sa += ha * y[0] + 2 * hb * y[1]
-                    sb += ha * y[1] + hb * y[0]
+            sa, sb = _pair_dot(hook, ph[j])
             if sa or sb:
                 entries[(i, j)] = _pair_scalar(sa, sb, scale)
                 entries[(j, i)] = _pair_scalar(flip * sa, flip * sb, scale)

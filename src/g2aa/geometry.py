@@ -13,8 +13,8 @@ field T along f_z is the commutator [nabla_z, T].
 
 The algebra is almost abelian, so the connection and the curvature are
 built from the nonzero brackets [f_n, f_j] = A f_j only (see ``levi_civita``
-and ``curvature``).  The inverse metric is the one ``Matrix.inverse`` keeps
-on the metric, which the Hodge star of the same certified structure shares.
+and ``curvature``).  The metric is inverted by ``exterior._metric_inverse``,
+as in the Hodge star, and ``Matrix.inverse`` keeps the inverse on it.
 
 Lowered coordinates.  The connection keeps the Christoffel matrices
 Gamma_z = g nabla_z, which are skew, and for z < n-1 nonzero only in the
@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .exterior import DegenerateMetricError, KForm, gl_action
+from .exterior import KForm, _metric_inverse, gl_action
 from .liealg import AlmostAbelianAlgebra
 from .linalg import Echelon, Matrix
 from .scalars import HALF, ZERO, Scalar
@@ -92,14 +92,9 @@ def levi_civita(algebra: AlmostAbelianAlgebra, metric: Matrix) -> ConnectionTabl
     Each pair {c, j} of the support of M is read once, so every entry of S
     and of M - M^T is formed once.  Then nabla_i = g^{-1} Gamma_i."""
     n = algebra.n
-    if metric.rows != n or metric.cols != n:
-        raise ValueError("metric size must match the algebra dimension")
+    ginv = _metric_inverse(metric, n)
     if not metric.is_symmetric():
         raise ValueError("metric must be symmetric")
-    try:
-        ginv = metric.inverse()
-    except ZeroDivisionError as exc:
-        raise DegenerateMetricError("metric is degenerate") from exc
     last = n - 1
     m = dict((metric @ Matrix.sparse(n, n, dict(algebra.ad_matrix.items()))).items())
     gammas: list[dict[tuple[int, int], Scalar]] = [{} for _ in range(n)]

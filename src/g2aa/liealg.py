@@ -34,18 +34,11 @@ class AlmostAbelianAlgebra:
     def bracket(self, i: int, j: int) -> list[Scalar]:
         """[f_i, f_j] as a coefficient vector (1-based arguments)."""
         n = self.n
-        out = [ZERO] * n
         if i == j or (i < n and j < n):
-            return out
-        if i == n:
-            col = self.ad_matrix.column(j - 1)
-            for k, c in enumerate(col):
-                out[k] = c
-        else:
-            col = self.ad_matrix.column(i - 1)
-            for k, c in enumerate(col):
-                out[k] = -c
-        return out
+            return [ZERO] * n
+        # [f_n, f_j] = -[f_j, f_n] = ad(f_n) f_j
+        col = self.ad_matrix.column((j if i == n else i) - 1)
+        return [c if i == n else -c for c in col] + [ZERO]
 
     def to_json_dict(self) -> dict:
         return {

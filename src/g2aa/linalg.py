@@ -416,12 +416,7 @@ class Echelon:
         for fc in free:
             x = {fc: d}
             for r, p in zip(reversed(self.rows), reversed(self.pivots)):
-                sa = sb = 0
-                for c, (ya, yb) in r.items():
-                    v = x.get(c)
-                    if v is not None:
-                        sa += ya * v[0] + 2 * yb * v[1]
-                        sb += ya * v[1] + yb * v[0]
+                sa, sb = _pair_dot(r, x)
                 if sa or sb:
                     x[p] = _pair_div((-sa, -sb), r[p])
             yield {c: _pair_scalar(*_pair_mul(v, conj), norm) for c, v in x.items()}
@@ -433,6 +428,17 @@ def _pair_mul(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
     if b == 0 and d == 0:
         return (a * c, 0)
     return (a * c + 2 * b * d, a * d + b * c)
+
+
+def _pair_dot(x: Mapping, y: Mapping) -> tuple[int, int]:
+    """Sum of x[k] * y[k] over the keys k of x that y holds, for pair vectors."""
+    sa = sb = 0
+    for k, (a, b) in x.items():
+        v = y.get(k)
+        if v is not None:
+            sa += a * v[0] + 2 * b * v[1]
+            sb += a * v[1] + b * v[0]
+    return sa, sb
 
 
 def _pair_div(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:

@@ -8,6 +8,7 @@ exact; there is no rounding anywhere, and no conversion to a float.
 from __future__ import annotations
 
 import re
+import reprlib
 import sys
 from fractions import Fraction
 from functools import total_ordering
@@ -46,20 +47,22 @@ class Scalar:
 
         Accepted forms: "p/q", "p/q*sqrt2", "p/q+r/s*sqrt2", "p/q-r/s*sqrt2",
         where "/q" and "r/s*" may be left out, a leading sign is allowed and
-        p, q, r, s are ASCII digits; spaces are dropped.  Anything else
-        (decimals, exponents, underscores) raises DomainError.
+        p, q, r, s are ASCII digits, q and s not zero; spaces are dropped.
+        Anything else (decimals, exponents, underscores) raises DomainError,
+        and so does a numeral past ``sys.get_int_max_str_digits()``.
         """
         m = _SCALAR_TEXT.fullmatch(text.strip().replace(" ", ""))
+        if m is None:
+            raise DomainError(f"malformed scalar {_shown(text)}")
         try:
-            if m is None:
-                raise ValueError("not in the scalar grammar")
             a = _rational(m["a"] or "0", m["ad"])
             if m["bs"] is None:
                 return Scalar(a)
             b = _rational(m["b"] or "1", m["bd"])
             return Scalar(a, -b if m["bs"] == "-" else b)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise DomainError(f"malformed scalar {text!r}") from exc
+        except ValueError as exc:  # int() of a numeral past the conversion limit
+            raise DomainError(f"scalar too large: {_shown(text)} has a numeral of more "
+                              f"than {sys.get_int_max_str_digits()} digits") from exc
 
     # -- predicates --------------------------------------------------------
 
@@ -213,11 +216,15 @@ class Scalar:
         return f"Scalar({self})"
 
 
-# p/q, then [+-] r/s*sqrt2; the rational part is cut off only before a sign
-# or the end, so "2sqrt2" is refused
+# p/q, then [+-] r/s*sqrt2, with q, s != 0; the rational part is cut off only
+# before a sign or the end, so "2sqrt2" is refused
 _SCALAR_TEXT = re.compile(
-    r"(?!$)(?:(?P<a>[+-]?[0-9]+)(?:/(?P<ad>[0-9]+))?(?=[+-]|$))?"
-    r"(?:(?P<bs>[+-]?)(?:(?P<b>[0-9]+)(?:/(?P<bd>[0-9]+))?\*)?sqrt2)?")
+    r"(?!$)(?:(?P<a>[+-]?[0-9]+)(?:/(?P<ad>0*[1-9][0-9]*))?(?=[+-]|$))?"
+    r"(?:(?P<bs>[+-]?)(?:(?P<b>[0-9]+)(?:/(?P<bd>0*[1-9][0-9]*))?\*)?sqrt2)?")
+
+
+# the offending value in a refusal: its repr, cut to a bounded length and depth
+_shown = reprlib.repr
 
 
 def _rational(num: str, den: str | None):
@@ -231,11 +238,11 @@ def _fraction(x) -> Fraction:
     if isinstance(x, str):
         s = Scalar.from_string(x)
         if s.b:
-            raise DomainError(f"malformed scalar {x!r}")
+            raise DomainError(f"malformed scalar {_shown(x)}")
         return s.a
     if isinstance(x, (int, Fraction)):
         return Fraction(x)
-    raise TypeError(f"cannot interpret {x!r} as a rational scalar part")
+    raise TypeError(f"cannot interpret {_shown(x)} as a rational scalar part")
 
 
 def _coerce(x) -> "Scalar":
@@ -256,7 +263,7 @@ def as_scalar(x) -> Scalar:
         return Scalar.from_string(x)
     s = _coerce(x)
     if s is NotImplemented:
-        raise TypeError(f"cannot interpret {x!r} as a Q(sqrt2) scalar")
+        raise TypeError(f"cannot interpret {_shown(x)} as a Q(sqrt2) scalar")
     return s
 
 
@@ -264,21 +271,21 @@ def json_int(x, what: str) -> int:
     """An integer field of a JSON document.  JSON true/false and numbers
     with a fraction part or an exponent are refused, not truncated."""
     if type(x) is not int:
-        raise DomainError(f"{what} must be an integer, not {x!r}")
+        raise DomainError(f"{what} must be an integer, not {_shown(x)}")
     return x
 
 
 def json_list(x, what: str) -> list:
     """A list field of a JSON document."""
     if type(x) is not list:
-        raise DomainError(f"{what} must be a list, not {x!r}")
+        raise DomainError(f"{what} must be a list, not {_shown(x)}")
     return x
 
 
 def json_object(x, what: str) -> dict:
     """An object field of a JSON document, or the document itself."""
     if type(x) is not dict:
-        raise DomainError(f"{what} must be an object, not {x!r}")
+        raise DomainError(f"{what} must be an object, not {_shown(x)}")
     return x
 
 
@@ -288,7 +295,7 @@ def json_scalar(x, what: str) -> Scalar:
     fraction part or an exponent, which a float may not hold exactly, are
     refused."""
     if type(x) is not int and not isinstance(x, str):
-        raise DomainError(f"{what} must be a string or an integer, not {x!r}")
+        raise DomainError(f"{what} must be a string or an integer, not {_shown(x)}")
     return as_scalar(x)
 
 

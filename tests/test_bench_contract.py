@@ -23,7 +23,7 @@ import workloads  # noqa: E402
 ITEMS = 18  # one cycle of the report workload, three of decide
 # Scalar add + sub + mul calls of pipeline_report over the witness points
 # of the sweep, with the certify cache and the metric's inverse warm
-SWEEP_WITNESS_SCALAR_OPS = 622
+SWEEP_WITNESS_SCALAR_OPS = 570
 
 
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))

@@ -1,4 +1,5 @@
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -273,6 +274,25 @@ def test_rejects_inputs_outside_the_domain(tmp_path, capsys):
     # a missing file is not a domain question
     assert main(["certify", "--form", str(tmp_path / "missing.json")]) == EXIT_INTERNAL
     assert "no such form file" in capsys.readouterr().err
+
+
+def test_refusals_show_a_bounded_value(tmp_path, capsys):
+    # 900 levels parse under Python 3.11 (and are too deep under some other
+    # versions): either way the one error line stays short
+    deep = write_text(tmp_path, "deep.json", "[" * 900 + "]" * 900)
+    for argv in (["certify", "--form", deep], ["report", "--input", deep, "--form", "witt_phi"],
+                 ["decide", "--input", deep, "--mode", "g2"]):
+        assert main(argv) == EXIT_DOMAIN, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: "), argv
+        assert captured.err.count("\n") == 1 and len(captured.err) <= 201, argv
+    # a numeral past the integer conversion limit is too large, not malformed
+    form = {"dim": 7, "degree": 3, "terms": [{"idx": [1, 2, 3], "coef": "1" * 5000}]}
+    assert main(["certify", "--form", write_text(tmp_path, "big.json", json.dumps(form))]) == EXIT_DOMAIN
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: scalar too large: '111")
+    assert f"more than {sys.get_int_max_str_digits()} digits" in captured.err
+    assert captured.err.count("\n") == 1 and len(captured.err) <= 201
 
 
 def test_report_example_a(tmp_path, capsys):
