@@ -40,7 +40,7 @@ from .liealg import (
     segre_partition,
 )
 from .linalg import Matrix
-from .scalars import ONE, ZERO, DomainError, Scalar, as_scalar
+from .scalars import HALF, ONE, ZERO, DomainError, Scalar, as_scalar
 
 
 class Decision(Enum):
@@ -183,15 +183,14 @@ def iota(z_re: Matrix, z_im: Matrix) -> Matrix:
 # Pairing basis for the split three-form rho_plus: in the null coordinates
 # P_i = (f_{2i-1} + f_{2i})/2, Q_i = (f_{2i-1} - f_{2i})/2 its stabilizer is
 # block-diagonal {diag(A, -A^t)}.
-_H = Scalar(Fraction(1, 2))
 NULL_PAIR_BASIS = Matrix.from_columns(
     [
-        [_H, _H, 0, 0, 0, 0],
-        [0, 0, _H, _H, 0, 0],
-        [0, 0, 0, 0, _H, _H],
-        [_H, -_H, 0, 0, 0, 0],
-        [0, 0, _H, -_H, 0, 0],
-        [0, 0, 0, 0, _H, -_H],
+        [HALF, HALF, 0, 0, 0, 0],
+        [0, 0, HALF, HALF, 0, 0],
+        [0, 0, 0, 0, HALF, HALF],
+        [HALF, -HALF, 0, 0, 0, 0],
+        [0, 0, HALF, -HALF, 0, 0],
+        [0, 0, 0, 0, HALF, -HALF],
     ]
 )
 

@@ -128,10 +128,8 @@ class KForm:
         self._check(other)
         if self.degree != other.degree:
             raise DimensionMismatchError("degree mismatch in addition")
-        t = dict(self._t)
-        for idx, c in other._t.items():
-            t[idx] = t.get(idx, ZERO) + c
-        return KForm(self.dim, self.degree, t)
+        return KForm.build(self.dim, self.degree,
+                           ((c, *idx) for t in (self._t, other._t) for idx, c in t.items()))
 
     def __sub__(self, other: "KForm") -> "KForm":
         return self + other.scale(-1)
@@ -205,19 +203,11 @@ class KForm:
 
 
 def wedge(a: KForm, b: KForm) -> KForm:
-    """Exterior product a ^ b."""
+    """Exterior product a ^ b; a pair of terms with a common index is skipped."""
     a._check(b)
-    if a.degree + b.degree > a.dim:
-        return KForm(a.dim, a.degree + b.degree, {})
-    acc: dict[tuple[int, ...], Scalar] = {}
-    for i, c in a._t.items():
-        for j, d in b._t.items():
-            tup, sg = sort_indices(i + j)
-            if sg == 0:
-                continue
-            v = c * d
-            acc[tup] = acc.get(tup, ZERO) + (v if sg > 0 else -v)
-    return KForm(a.dim, a.degree + b.degree, acc)
+    return KForm.build(a.dim, a.degree + b.degree,
+                       ((c * d, *i, *j) for i, c in a._t.items()
+                        for j, d in b._t.items() if set(i).isdisjoint(j)))
 
 
 def interior(vector: Sequence, a: KForm) -> KForm:
@@ -227,13 +217,10 @@ def interior(vector: Sequence, a: KForm) -> KForm:
     v = [as_scalar(x) for x in vector]
     if len(v) != a.dim:
         raise DimensionMismatchError("vector length must equal form dimension")
-    acc: dict[tuple[int, ...], Scalar] = {}
-    for idx, c in a._t.items():
-        for pos, i in enumerate(idx):
-            rest = idx[:pos] + idx[pos + 1 :]
-            term = v[i - 1] * c
-            acc[rest] = acc.get(rest, ZERO) + (-term if pos % 2 else term)
-    return KForm(a.dim, a.degree - 1, acc)
+    return KForm.build(a.dim, a.degree - 1,
+                       ((-t if pos % 2 else t, *idx[:pos], *idx[pos + 1:])
+                        for idx, c in a._t.items() for pos, i in enumerate(idx)
+                        for t in (v[i - 1] * c,)))
 
 
 def gl_action(m: Matrix, a: KForm) -> KForm:
@@ -242,6 +229,7 @@ def gl_action(m: Matrix, a: KForm) -> KForm:
     """
     if m.rows != a.dim or m.cols != a.dim:
         raise DimensionMismatchError("endomorphism size must match form dimension")
+    # its own loop, not KForm.build: the decide and sweep workloads spend their time here
     acc: dict[tuple[int, ...], Scalar] = {}
     for idx, c in a._t.items():
         for pos, ip in enumerate(idx):

@@ -26,6 +26,16 @@ _EMPTY: dict = {}
 _set = object.__setattr__
 
 
+def _row_maps(entries: Iterable[tuple[tuple[int, int], object]]) -> dict[int, dict[int, Scalar]]:
+    """The row maps {i: {j: x}} of the nonzero ((i, j), x) entries, as Scalars."""
+    out: dict[int, dict[int, Scalar]] = {}
+    for (i, j), x in entries:
+        x = x if type(x) is Scalar else as_scalar(x)
+        if not x.is_zero():
+            out.setdefault(i, {})[j] = x
+    return out
+
+
 def _of(rows: int, cols: int, entries: dict) -> "Matrix":
     """A matrix on row maps that already hold only nonzero entries."""
     m = object.__new__(Matrix)
@@ -45,20 +55,12 @@ class Matrix:
         if not entries or not entries[0]:
             raise ValueError("matrix needs at least one row and one column")
         ncols = len(entries[0])
-        out: dict[int, dict[int, Scalar]] = {}
-        for i, row in enumerate(entries):
-            if len(row) != ncols:
-                raise ValueError("ragged rows")
-            r = {}
-            for j, x in enumerate(row):
-                x = x if type(x) is Scalar else as_scalar(x)
-                if not x.is_zero():
-                    r[j] = x
-            if r:
-                out[i] = r
+        if any(len(row) != ncols for row in entries):
+            raise ValueError("ragged rows")
         _set(self, "rows", len(entries))
         _set(self, "cols", ncols)
-        _set(self, "_r", out)
+        _set(self, "_r", _row_maps(((i, j), x) for i, row in enumerate(entries)
+                                   for j, x in enumerate(row)))
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
@@ -82,14 +84,10 @@ class Matrix:
     def sparse(rows: int, cols: int, entries: Mapping[tuple[int, int], object]) -> "Matrix":
         """The rows x cols matrix with the given (i, j) -> value entries,
         zero elsewhere."""
-        out: dict[int, dict[int, Scalar]] = {}
-        for (i, j), x in entries.items():
+        for i, j in entries:
             if not (0 <= i < rows and 0 <= j < cols):
                 raise IndexError(f"entry ({i}, {j}) outside a {rows}x{cols} matrix")
-            x = as_scalar(x)
-            if not x.is_zero():
-                out.setdefault(i, {})[j] = x
-        return _of(rows, cols, out)
+        return _of(rows, cols, _row_maps(entries.items()))
 
     @staticmethod
     def from_columns(columns: Sequence[Sequence]) -> "Matrix":
@@ -125,32 +123,22 @@ class Matrix:
     # -- algebra -------------------------------------------------------------
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        return self._merge(other, negate=False)
+        return self._sum(other, negate=False)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        return self._merge(other, negate=True)
+        return self._sum(other, negate=True)
 
-    def _merge(self, other: "Matrix", negate: bool) -> "Matrix":
-        """self + other, or self - other with ``negate``, in one pass over
-        the nonzero entries of ``other``.  An entry that only ``other``
-        holds is stored as it is, or negated: no addition to zero."""
+    def _sum(self, other: "Matrix", negate: bool) -> "Matrix":
+        """self + other, or self - other with ``negate``, in one (i, j) -> value dict."""
         self._check_shape(other)
-        out = dict(self._r)
-        for i, row in other._r.items():
-            acc = dict(out.get(i, _EMPTY))
-            for j, x in row.items():
-                y = acc.pop(j, None)
-                if y is None:
-                    acc[j] = -x if negate else x
-                    continue
-                v = y - x if negate else y + x
-                if not v.is_zero():
-                    acc[j] = v
-            if acc:
-                out[i] = acc
+        out = dict(self.items())
+        for k, x in other.items():
+            y = out.get(k)
+            if y is None:
+                out[k] = -x if negate else x
             else:
-                out.pop(i, None)
-        return _of(self.rows, self.cols, out)
+                out[k] = y - x if negate else y + x
+        return Matrix.sparse(self.rows, self.cols, out)
 
     def __neg__(self) -> "Matrix":
         return _of(self.rows, self.cols,

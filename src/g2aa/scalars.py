@@ -223,8 +223,16 @@ _SCALAR_TEXT = re.compile(
     r"(?:(?P<bs>[+-]?)(?:(?P<b>[0-9]+)(?:/(?P<bd>0*[1-9][0-9]*))?\*)?sqrt2)?")
 
 
+class _Shown(reprlib.Repr):
+    def repr_int(self, x, level):
+        try:
+            return super().repr_int(x, level)
+        except ValueError:  # repr() refuses an int past sys.get_int_max_str_digits()
+            return f"<int of more than {sys.get_int_max_str_digits()} digits>"
+
+
 # the offending value in a refusal: its repr, cut to a bounded length and depth
-_shown = reprlib.repr
+_shown = _Shown().repr
 
 
 def _rational(num: str, den: str | None):

@@ -3,9 +3,10 @@
 Each workload runs its warm-up item and the first cycle of items through
 its own ``call`` and ``check``, with its taps installed, and every traced
 function of ``spans.TRACED`` is wrapped and restored.  A change that
-breaks a name, a tap or an oracle of the benchmark fails here.  A count of
-the Scalar operations that the sweep spends on its witness points guards
-its per-point work.  Nothing in perfbench/ is changed.
+breaks a name, a tap or an oracle of the benchmark fails here.  Counts of
+the Scalar operations that the sweep spends on its witness points, and that
+decide and report spend on one cycle of items, guard their per-item work.
+Nothing in perfbench/ is changed.
 """
 
 import sys
@@ -24,6 +25,22 @@ ITEMS = 18  # one cycle of the report workload, three of decide
 # Scalar add + sub + mul calls of pipeline_report over the witness points
 # of the sweep, with the certify cache and the metric's inverse warm
 SWEEP_WITNESS_SCALAR_OPS = 570
+# Scalar add + sub + mul calls of one cycle of items (0..17 at seed 7),
+# after one warm pass over the same items
+CYCLE_SCALAR_OPS = {"decide": 2634, "report": 21444}
+
+
+def scalar_ops(run) -> dict:
+    """The Scalar operation counts of ``run()``, called once to warm the
+    caches and once counted."""
+    run()
+    patches = spans.Patches()
+    counts = spans.count_scalars(patches)
+    try:
+        run()
+    finally:
+        patches.restore()
+    return counts
 
 
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
@@ -69,13 +86,13 @@ def test_sweep_witness_scalar_ops_stay_within_their_count(tmp_path):
     times, so they guard the sweep's per-point work against regressions."""
     sweep = workloads.Sweep(7, tmp_path)
     points = [sweep.item(i).call for i in range(len(workloads.SWEEP_WITNESSES))]
-    for p in points:  # warm the caches
-        pipeline_report(p)
-    patches = spans.Patches()
-    counts = spans.count_scalars(patches)
-    try:
-        for p in points:
-            pipeline_report(p)
-    finally:
-        patches.restore()
+    counts = scalar_ops(lambda: [pipeline_report(p) for p in points])
     assert counts["add"] + counts["sub"] + counts["mul"] <= SWEEP_WITNESS_SCALAR_OPS, counts
+
+
+@pytest.mark.parametrize("name", sorted(CYCLE_SCALAR_OPS))
+def test_cycle_scalar_ops_stay_within_their_count(name, tmp_path):
+    wl = workloads.WORKLOADS[name](7, tmp_path)
+    items = [wl.item(i) for i in range(ITEMS)]
+    counts = scalar_ops(lambda: [wl.call(item) for item in items])
+    assert counts["add"] + counts["sub"] + counts["mul"] <= CYCLE_SCALAR_OPS[name], counts

@@ -59,6 +59,16 @@ def test_wedge_graded_commutative_and_associative():
         assert wedge(wedge(a, b), c) == wedge(a, wedge(b, c))
 
 
+def test_build_sorts_signs_sums_and_drops_terms():
+    assert KForm.build(3, 2, [(1, 2, 1), (2, 1, 2)]) == KForm.basis(3, 1, 2)
+    # a repeated index, and two terms that cancel, leave nothing
+    assert KForm.build(3, 2, [(5, 1, 1)]).is_zero()
+    assert KForm.build(3, 2, [(1, 1, 2), (1, 2, 1)]).is_zero()
+    assert KForm.basis(3, 1, 2).coefficient(1, 1) == ZERO
+    assert str(KForm.zero(3, 2)) == "0"
+    assert str(KForm.constant(3, 2)) == "(2)"
+
+
 def test_wedge_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
         wedge(KForm.basis(6, 1), KForm.basis(7, 1))

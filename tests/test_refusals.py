@@ -1,7 +1,8 @@
 """Every reachable refusal of the package, one row each: the call and the
-exception type it raises.  Also the two postconditions of the instance
-generators, the immutability guards, the operators that other tests do not
-call, and the mismatch report of ``table1``."""
+exception type it raises, with a message of at most 200 characters.  Also
+the two postconditions of the instance generators, the immutability guards,
+equality against other types, the operators that other tests do not call,
+and the mismatch report of ``table1``."""
 
 from fractions import Fraction
 
@@ -19,7 +20,8 @@ from g2aa.geometry import levi_civita
 from g2aa.liealg import (AlmostAbelianAlgebra, SegrePartition, catalog_entry_for_partition,
                          differential, identify_nilpotent, segre_partition)
 from g2aa.linalg import Matrix
-from g2aa.scalars import HALF, HALF_SQRT2, SQRT2, DomainError, Scalar
+from g2aa.scalars import (HALF, HALF_SQRT2, SQRT2, DomainError, Scalar, as_scalar, json_list,
+                          json_object)
 
 M23 = Matrix([[1, 2, 3], [4, 5, 6]])
 I7 = Matrix.identity(7)
@@ -27,7 +29,19 @@ VOL7 = KForm.basis(7, 1, 2, 3, 4, 5, 6, 7)
 ALG7 = AlmostAbelianAlgebra(7, Matrix.zero(6))
 
 
+HUGE = 10**5000  # past the int-to-str conversion limit, so repr() refuses it
+
 REFUSALS = [
+    # scalars: operands that are not scalars, values too long to show
+    ("Scalar + str", lambda: Scalar(1) + "1", TypeError),
+    ("str - Scalar", lambda: "1" - Scalar(1), TypeError),
+    ("Scalar * None", lambda: Scalar(1) * None, TypeError),
+    ("Scalar / str", lambda: Scalar(1) / "2", TypeError),
+    ("str / Scalar", lambda: "2" / Scalar(1), TypeError),
+    ("json_object of a huge int", lambda: json_object([HUGE], "form"), DomainError),
+    ("json_list of a huge int", lambda: json_list(HUGE, "ad"), DomainError),
+    ("as_scalar of a huge int", lambda: as_scalar([HUGE]), TypeError),
+    ("Scalar of a huge int", lambda: Scalar([HUGE]), TypeError),
     # linalg
     ("Matrix of no rows", lambda: Matrix([]), ValueError),
     ("Matrix of an empty row", lambda: Matrix([[]]), ValueError),
@@ -102,8 +116,9 @@ REFUSALS = [
 @pytest.mark.parametrize("call, error", [(c, e) for _, c, e in REFUSALS],
                          ids=[name for name, _, _ in REFUSALS])
 def test_refusal_raises_its_type(call, error):
-    with pytest.raises(error):
+    with pytest.raises(error) as exc:
         call()
+    assert len(str(exc.value)) <= 200
 
 
 def test_instance_postconditions_name_what_is_not_closed():
@@ -119,6 +134,13 @@ def test_instance_postconditions_name_what_is_not_closed():
 def test_value_types_are_immutable(value):
     with pytest.raises(AttributeError, match="immutable"):
         value.rows = 3
+
+
+@pytest.mark.parametrize("value, other", [(Scalar(1), "1"), (Matrix.identity(2), 1),
+                                          (KForm.basis(3, 1), 1)],
+                         ids=["Scalar", "Matrix", "KForm"])
+def test_value_types_differ_from_other_types(value, other):
+    assert value != other and not value == other
 
 
 def test_operators_that_scale_negate_and_invert():
