@@ -48,6 +48,14 @@ def sort_indices(idx: Sequence[int]) -> tuple[tuple[int, ...] | None, int]:
     return tuple(lst), sign
 
 
+def _check_index(tup: tuple, degree: int, dim: int):
+    """Refuse an index tuple of the wrong length or with an entry outside 1..dim."""
+    if len(tup) != degree:
+        raise ValueError(f"index {tup} has wrong length for degree {degree}")
+    if any(i < 1 or i > dim for i in tup):
+        raise ValueError(f"index {tup} out of range 1..{dim}")
+
+
 class KForm:
     """Alternating k-form on an n-dimensional space."""
 
@@ -65,10 +73,7 @@ class KForm:
             if c.is_zero():
                 continue
             tup = tuple(idx)
-            if len(tup) != degree:
-                raise ValueError(f"index {tup} has wrong length for degree {degree}")
-            if any(i < 1 or i > dim for i in tup):
-                raise ValueError(f"index {tup} out of range 1..{dim}")
+            _check_index(tup, degree, dim)
             if any(tup[i] >= tup[i + 1] for i in range(len(tup) - 1)):
                 raise ValueError(f"index {tup} not strictly increasing")
             clean[tup] = c
@@ -109,6 +114,9 @@ class KForm:
         return self._t.items()
 
     def coefficient(self, *indices: int) -> Scalar:
+        """The coefficient of e^{indices}, signed by their order; zero when an
+        index repeats."""
+        _check_index(indices, self.degree, self.dim)
         tup, sg = sort_indices(indices)
         if sg == 0:
             return ZERO

@@ -109,27 +109,21 @@ MODEL_TENSORS = {
 
 def _action_matrix(forms: list[KForm]) -> Matrix:
     """Matrix of A |-> (A.form_1, ..., A.form_r) on gl(n), columns indexed by
-    the n^2 entries of A in row-major order: one row per index tuple in the
-    support of the action on a form, forms in turn, supports sorted."""
+    the n^2 entries of A in row-major order, one row per (form, index tuple)
+    of the action's support in the order first met.  Row order leaves the
+    kernel alone: pivots are the leftmost independent columns, and each
+    null vector is fixed by its free column."""
     n = forms[0].dim
+    row_of: dict = {}
     entries = {}
-    top = 0
-    for f in forms:
-        rows: dict[tuple[int, ...], dict[int, Scalar]] = {}
+    for k, f in enumerate(forms):
         for i in range(n):
             for j in range(n):
                 acted = gl_action(Matrix.sparse(n, n, {(i, j): ONE}), f)
                 for idx, x in acted.items():
-                    rows.setdefault(idx, {})[i * n + j] = x
-        for k, idx in enumerate(sorted(rows), start=top):
-            entries.update(((k, col), x) for col, x in rows[idx].items())
-        top += len(rows)
+                    entries[(row_of.setdefault((k, idx), len(row_of)), i * n + j)] = x
     # a form that all of gl(n) annihilates still gives one (zero) row
-    return Matrix.sparse(max(top, 1), n * n, entries)
-
-
-def _kernel_to_endos(vectors: list[list[Scalar]], n: int) -> list[Matrix]:
-    return [Matrix([v[i * n:(i + 1) * n] for i in range(n)]) for v in vectors]
+    return Matrix.sparse(max(len(row_of), 1), n * n, entries)
 
 
 def stabilizer_algebra(a: KForm, *others: KForm) -> list[Matrix]:
@@ -137,8 +131,9 @@ def stabilizer_algebra(a: KForm, *others: KForm) -> list[Matrix]:
     for every b of others}."""
     if any(b.dim != a.dim for b in others):
         raise ValueError("forms must share the ambient dimension")
-    action = _action_matrix([a, *others])
-    return _kernel_to_endos(action.kernel(), a.dim)
+    n = a.dim
+    return [Matrix([v[i * n:(i + 1) * n] for i in range(n)])
+            for v in _action_matrix([a, *others]).kernel()]
 
 
 # -- certification ----------------------------------------------------------------

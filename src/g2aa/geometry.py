@@ -276,7 +276,8 @@ def holonomy_algebra(conn: ConnectionTable, report: CurvatureReport) -> list[Mat
     costs one sparse product Gamma_z h, whose lowered coordinates it is
     tested on, and is raised from them, as ``curvature`` raises R, only
     when it is kept; a direction z with Gamma_z = 0 gives only zero
-    candidates and is skipped."""
+    candidates and is skipped.  Any other candidate is zero exactly when
+    [nabla_z, h] = 0, which only the product shows, so none is skipped."""
     n = conn.algebra.n
     full = n * (n - 1) // 2
     moving = [z for z in range(n) if not conn.christoffel[z].is_zero()]

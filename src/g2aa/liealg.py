@@ -34,6 +34,8 @@ class AlmostAbelianAlgebra:
     def bracket(self, i: int, j: int) -> list[Scalar]:
         """[f_i, f_j] as a coefficient vector (1-based arguments)."""
         n = self.n
+        if not (0 < i <= n and 0 < j <= n):
+            raise IndexError(f"bracket indices ({i}, {j}) outside 1..{n}")
         if i == j or (i < n and j < n):
             return [ZERO] * n
         # [f_n, f_j] = -[f_j, f_n] = ad(f_n) f_j

@@ -18,6 +18,7 @@ maps.
 
 from __future__ import annotations
 
+from operator import index
 from typing import Iterable, Mapping, Sequence
 
 from .scalars import ONE, ZERO, Scalar, _clear_denominators, _pair_scalar, as_scalar
@@ -97,15 +98,17 @@ class Matrix:
 
     def __getitem__(self, key) -> Scalar:
         i, j = key
-        # indexing a range checks bounds and resolves negative indices
-        return self._r.get(range(self.rows)[i], _EMPTY).get(range(self.cols)[j], ZERO)
+        # indexing a range checks bounds and resolves negative indices, and
+        # index() refuses a slice, which a range would answer with a range
+        row = self._r.get(range(self.rows)[index(i)], _EMPTY)
+        return row.get(range(self.cols)[index(j)], ZERO)
 
     def row(self, i: int) -> tuple:
-        r = self._r.get(range(self.rows)[i], _EMPTY)
+        r = self._r.get(range(self.rows)[index(i)], _EMPTY)
         return tuple(r.get(j, ZERO) for j in range(self.cols))
 
     def column(self, j: int) -> tuple:
-        j = range(self.cols)[j]
+        j = range(self.cols)[index(j)]
         return tuple(self._r.get(i, _EMPTY).get(j, ZERO) for i in range(self.rows))
 
     def tolist(self) -> list[list[Scalar]]:

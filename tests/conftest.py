@@ -334,9 +334,12 @@ def oracle_holonomy(conn, report) -> list:
 
 def oracle_bilinear_form(phi: KForm) -> Matrix:
     """B(v, w) = (1/6)(v -| phi)^(w -| phi)^phi as the top coefficient of
-    the full wedge of wedges, entry by entry."""
+    the full wedge of wedges, entry by entry; zero when that wedge is not a
+    top form."""
     n = phi.dim
     top = tuple(range(1, n + 1))
+    if 3 * phi.degree - 2 != n:
+        return Matrix.zero(n)
     hooks = [interior([ONE if k == i else ZERO for k in range(n)], phi) for i in range(n)]
     sixth = Scalar(Fraction(1, 6))
     return Matrix([[sixth * wedge(wedge(hooks[i], hooks[j]), phi).coefficient(*top)

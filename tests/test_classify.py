@@ -1,6 +1,7 @@
 import math
 import random
 import tracemalloc
+from fractions import Fraction
 from itertools import permutations, product
 
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from g2aa.exterior import gl_action
 from g2aa.g2 import certify_g2, rho_model, rho_null_model, stabilizer_algebra, witt_phi
 from g2aa.geometry import curvature, levi_civita
-from g2aa.liealg import AlmostAbelianAlgebra, SegrePartition, segre_partition
+from g2aa.liealg import NILPOTENT_CATALOG, AlmostAbelianAlgebra, SegrePartition, segre_partition
 from conftest import random_unimodular, witness_block_matrix
 from g2aa.classify import (
     CALIBRATED_MODES,
@@ -459,6 +460,45 @@ def test_basis_change_certificate(rng):
             back = AlmostAbelianAlgebra(7, q.inverse() @ moved.ad_matrix @ q)
             assert decide(further, mode) is Decision.UNDECIDABLE
             assert decide(back, mode) is Decision.YES
+
+
+# (mode, parameters) of the library's own parallel instances of each mode
+OWN_INSTANCES = [
+    ("g2", ParallelFamilyParams(family="g2_su3", reals=(1, 2))),
+    ("g2", ParallelFamilyParams(family="g2_su3", reals=(1, 0))),
+    ("g2star_24", ParallelFamilyParams(family="g2star_24", case=1, reals=(1, 2))),
+    ("g2star_24", ParallelFamilyParams(family="g2star_24", case=2, reals=(-2, 1))),
+    ("g2star_24", ParallelFamilyParams(family="g2star_24", case=3, reals=(2,))),
+    ("g2star_24", ParallelFamilyParams(family="g2star_24", case=4)),
+    ("g2star_33", ParallelFamilyParams(family="g2star_33", block=Matrix.diagonal([1, 2, -3]))),
+    ("g2star_33", ParallelFamilyParams(family="g2star_33",
+                                       block=Matrix([[1, 2, 0], [0, -3, 1], [1, 0, 2]]))),
+]
+
+
+def test_decisions_never_say_no_on_the_library_structures():
+    """A structure the library builds is parallel, so in every basis of its
+    algebra both decisions in its mode may answer YES or UNDECIDABLE, never
+    NO; and a nilpotent ad-matrix is decided by its Jordan type, which
+    conjugation and a nonzero scaling keep."""
+    rng = random.Random(24)
+    for mode, p in OWN_INSTANCES:
+        ad = build_instance(p).algebra.ad_matrix
+        for _ in range(5):
+            q = random_unimodular(rng, 6)
+            moved = AlmostAbelianAlgebra(7, q @ ad @ q.inverse())
+            assert parallel_nondeg_decision(moved, mode) is not Decision.NO, p
+            assert calibrated_decision(moved, mode) is not Decision.NO, p
+    for entry in NILPOTENT_CATALOG:
+        jordan = algebra_with_partition(entry.partition.parts)
+        for c in (2, -3, Fraction(1, 2)):
+            q = random_unimodular(rng, 6)
+            moved = AlmostAbelianAlgebra(7, (q @ jordan.ad_matrix @ q.inverse()).scale(c))
+            for mode in CALIBRATED_MODES:
+                assert calibrated_decision(moved, mode) is calibrated_decision(jordan, mode)
+            for mode in PARALLEL_MODES:
+                assert (parallel_nondeg_decision(moved, mode)
+                        is parallel_nondeg_decision(jordan, mode))
 
 
 # -- table regeneration -----------------------------------------------------------------

@@ -456,6 +456,23 @@ def test_holonomy_keeps_derivatives_beyond_the_curvature(eps, entries, span, dim
         assert gh.transpose() == -gh
 
 
+def test_empty_holonomy_candidates_are_the_commuting_pairs():
+    """g [nabla_z, h] = Gamma_z h - (Gamma_z h)^T for g-skew h, so the
+    candidate _upper(Gamma_z h) is all zeros exactly when [nabla_z, h] = 0:
+    only the product shows which candidates are empty."""
+    seen = set()
+    for alg, g in sweep_witness_pairs():
+        conn = levi_civita(alg, g)
+        for h in holonomy_algebra(conn, curvature(conn)):
+            for z, gamma in enumerate(conn.christoffel):
+                if gamma.is_zero():
+                    continue
+                empty = all(x.is_zero() for x in _upper(gamma @ h).values())
+                assert empty is conn.nabla[z].commutator(h).is_zero()
+                seen.add(empty)
+    assert seen == {True, False}
+
+
 # -- lowered coordinates -----------------------------------------------------
 
 

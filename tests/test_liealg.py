@@ -5,7 +5,6 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from g2aa.classify import _algebra_with_partition
 from g2aa.exterior import DimensionMismatchError, KForm, wedge
 from g2aa.g2 import certify_g2, witt_phi
 from g2aa.liealg import (
@@ -215,8 +214,8 @@ def test_catalog_is_complete():
         ad = _ad_from_brackets(entry.dual_brackets)
         if ad is not None:
             assert segre_partition(ad).parts == entry.partition.parts
-        # and so does the Jordan representative that regenerate_table1 decides on
-        assert segre_partition(_algebra_with_partition(entry).ad_matrix) == entry.partition
+        # and so does the nilpotent Jordan matrix with the entry's blocks
+        assert segre_partition(_nilpotent_jordan(entry.partition.parts)) == entry.partition
 
 
 def _ad_from_brackets(brackets):

@@ -24,6 +24,9 @@ from g2aa.scalars import (HALF, HALF_SQRT2, SQRT2, DomainError, Scalar, as_scala
                           json_object)
 
 M23 = Matrix([[1, 2, 3], [4, 5, 6]])
+M22 = Matrix([[1, 2], [3, 4]])
+E12 = KForm.basis(3, 1, 2)
+ALG3 = AlmostAbelianAlgebra(3, Matrix([[0, 1], [0, 0]]))
 I7 = Matrix.identity(7)
 VOL7 = KForm.basis(7, 1, 2, 3, 4, 5, 6, 7)
 ALG7 = AlmostAbelianAlgebra(7, Matrix.zero(6))
@@ -54,12 +57,21 @@ REFUSALS = [
     ("inverse of a non-square matrix", lambda: M23.inverse(), ValueError),
     ("signature of a non-symmetric matrix", lambda: Matrix([[1, 1], [0, 1]]).signature(),
      ValueError),
+    ("Matrix entry at a row slice", lambda: M22[0:2, 0], TypeError),
+    ("Matrix entry at a column slice", lambda: M22[0, 0:1], TypeError),
+    ("Matrix row of a slice", lambda: M22.row(slice(0, 1)), TypeError),
+    ("Matrix column of a slice", lambda: M22.column(slice(0, 1)), TypeError),
     # exterior
     ("KForm of negative degree", lambda: KForm(3, -1), ValueError),
     ("KForm of degree above dim", lambda: KForm(3, 4, {(1, 2, 3, 4): 1}), ValueError),
     ("KForm index length", lambda: KForm(3, 2, {(1,): 1}), ValueError),
     ("KForm index order", lambda: KForm(3, 2, {(2, 1): 1}), ValueError),
     ("KForm index range", lambda: KForm(3, 1, {(4,): 1}), ValueError),
+    ("coefficient of too few indices", lambda: E12.coefficient(1), ValueError),
+    ("coefficient of no index", lambda: E12.coefficient(), ValueError),
+    ("coefficient of too many indices", lambda: E12.coefficient(1, 2, 3), ValueError),
+    ("coefficient at index 0", lambda: E12.coefficient(0, 1), ValueError),
+    ("coefficient at an index past dim", lambda: E12.coefficient(1, 5), ValueError),
     ("KForm + across degrees", lambda: KForm.basis(3, 1) + KForm.basis(3, 1, 2),
      DimensionMismatchError),
     ("interior vector length", lambda: interior([1, 0], KForm.basis(3, 1)),
@@ -81,6 +93,8 @@ REFUSALS = [
      lambda: levi_civita(ALG7, I7 + Matrix.sparse(7, 7, {(0, 1): 1})), ValueError),
     # liealg
     ("differential dimension", lambda: differential(ALG7, KForm.basis(6, 1)), ValueError),
+    ("bracket at index 0", lambda: ALG3.bracket(0, 3), IndexError),
+    ("bracket at a negative index", lambda: ALG3.bracket(-1, 3), IndexError),
     ("SegrePartition with a zero part", lambda: SegrePartition((2, 0)), ValueError),
     ("SegrePartition increasing", lambda: SegrePartition((1, 2)), ValueError),
     ("segre_partition of a non-square matrix", lambda: segre_partition(M23), ValueError),
