@@ -27,7 +27,7 @@ from .g2 import (
     rho_null_model,
     witt_phi,
 )
-from .geometry import analyze
+from .geometry import curvature, holonomy_algebra, is_locally_symmetric, levi_civita
 from .liealg import (
     AlmostAbelianAlgebra,
     NILPOTENT_CATALOG,
@@ -607,11 +607,12 @@ def table1_diff() -> list[str]:
 
 
 def pipeline_report(p: NilpotentParallelParams) -> NilpotentReport:
-    """Run the honest geometry pipeline on a built instance and read the
-    same four fields that the closed-form report produces."""
+    """Read the four fields of the closed-form report off the honest
+    geometry pipeline on a built instance, in four stages: levi_civita,
+    curvature, holonomy_algebra and is_locally_symmetric."""
     inst = build_instance(p)
-    report = analyze(inst.algebra, inst.phi, inst.structure.metric)
-    entry = identify_nilpotent(inst.algebra)
-    return NilpotentReport(
-        entry.name, report.hol_dim, report.is_locally_symmetric, report.is_flat
-    )
+    conn = levi_civita(inst.algebra, inst.structure.metric)
+    report = curvature(conn)
+    hol = holonomy_algebra(conn, report)
+    return NilpotentReport(identify_nilpotent(inst.algebra).name, len(hol),
+                           is_locally_symmetric(conn, report), report.is_flat)

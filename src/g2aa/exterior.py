@@ -15,6 +15,7 @@ elimination engine of ``linalg``, and builds each result ``Scalar`` once.
 from __future__ import annotations
 
 import json
+from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
 from .linalg import Matrix
@@ -49,11 +50,14 @@ def sort_indices(idx: Sequence[int]) -> tuple[tuple[int, ...] | None, int]:
 
 
 def _check_index(tup: tuple, degree: int, dim: int):
-    """Refuse an index tuple of the wrong length or with an entry outside 1..dim."""
+    """Refuse an index tuple of the wrong length or with an entry not an int in 1..dim."""
     if len(tup) != degree:
         raise ValueError(f"index {tup} has wrong length for degree {degree}")
-    if any(i < 1 or i > dim for i in tup):
-        raise ValueError(f"index {tup} out of range 1..{dim}")
+    for i in tup:
+        if type(i) is not int:  # a float 1.0 would hash as the index 1
+            raise TypeError(f"index {tup} has an entry that is not an int")
+        if i < 1 or i > dim:
+            raise ValueError(f"index {tup} out of range 1..{dim}")
 
 
 class KForm:
@@ -231,6 +235,14 @@ def interior(vector: Sequence, a: KForm) -> KForm:
                         for t in (v[i - 1] * c,)))
 
 
+@lru_cache(maxsize=None)
+def _moves(dim: int, idx: tuple[int, ...]) -> tuple:
+    """[pos][j]: (sorted tuple, sign) of idx with entry pos replaced by j + 1,
+    or (None, 0) on a repeat.  Cached per index tuple in use, not per degree."""
+    return tuple(tuple(sort_indices(idx[:pos] + (j + 1,) + idx[pos + 1:]) for j in range(dim))
+                 for pos in range(len(idx)))
+
+
 def gl_action(m: Matrix, a: KForm) -> KForm:
     """Derivation action of gl(n) on forms, pinned by (A.al)(v) = -al(Av)
     on 1-forms so that the almost abelian differential reads d rho = f^n ^ A.rho.
@@ -238,11 +250,12 @@ def gl_action(m: Matrix, a: KForm) -> KForm:
     if m.rows != a.dim or m.cols != a.dim:
         raise DimensionMismatchError("endomorphism size must match form dimension")
     # its own loop, not KForm.build: the decide and sweep workloads spend their time here
+    rows = [m.row_items(i) for i in range(m.rows)]
     acc: dict[tuple[int, ...], Scalar] = {}
     for idx, c in a._t.items():
-        for pos, ip in enumerate(idx):
-            for j, co in m.row_items(ip - 1):
-                tup, sg = sort_indices(idx[:pos] + (j + 1,) + idx[pos + 1 :])
+        for ip, moved in zip(idx, _moves(a.dim, idx)):
+            for j, co in rows[ip - 1]:
+                tup, sg = moved[j]
                 if sg == 0:
                     continue
                 term = co * c

@@ -21,11 +21,13 @@ Gamma_z = g nabla_z, which are skew, and for z < n-1 nonzero only in the
 last row and column.  An endomorphism h is g-skew when g h is
 antisymmetric; every R(f_x, f_y), every holonomy element and every
 (nabla_z R)(f_x, f_y) is.  Such an h is stored as the n(n-1)/2 strict upper
-entries of g h (``_upper``), which h -> g h maps injectively.  For g-skew h,
-g [nabla_z, h] = Gamma_z h - (Gamma_z h)^T, so one sparse product
-Gamma_z h gives the lowered derivative; ``_raise`` returns to
-h = g^{-1} (u - u^T).  The curvature, the holonomy closure and the nabla R
-test work on these coordinates.
+entries of g h, which h -> g h maps injectively.  For g-skew h,
+g [nabla_z, h] = Gamma_z h - (Gamma_z h)^T, whose strict upper part
+``_lowered_product`` accumulates from the row maps of Gamma_z and h without
+forming Gamma_z h; ``_raise`` returns to h = g^{-1} (u - u^T).  The
+curvature, the holonomy closure and the nabla R test work on these
+coordinates; the last two skip every z with nabla_z = 0, where each
+derivative vanishes.  Loops over matrices built here read their row maps.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from dataclasses import dataclass, field
 
 from .exterior import KForm, _metric_inverse, gl_action
 from .liealg import AlmostAbelianAlgebra
-from .linalg import Echelon, Matrix
+from .linalg import _EMPTY, Echelon, Matrix, _of
 from .scalars import HALF, ZERO, Scalar
 
 
@@ -62,7 +64,7 @@ class CurvatureReport:
     hol_dim: int | None = None
     is_locally_symmetric: bool | None = None
     hol_annihilates_phi: bool | None = None
-    # lowered coordinates (see ``_upper``) of R(f_i, f_j), i < j
+    # lowered coordinates (see ``_lowered_product``) of R(f_i, f_j), i < j
     lowered: dict[tuple[int, int], dict[int, Scalar]] = field(
         default_factory=dict, compare=False, repr=False)
 
@@ -96,8 +98,9 @@ def levi_civita(algebra: AlmostAbelianAlgebra, metric: Matrix) -> ConnectionTabl
     if not metric.is_symmetric():
         raise ValueError("metric must be symmetric")
     last = n - 1
-    m = dict((metric @ Matrix.sparse(n, n, dict(algebra.ad_matrix.items()))).items())
-    gammas: list[dict[tuple[int, int], Scalar]] = [{} for _ in range(n)]
+    # A, padded to n x n, shares the row maps of ad(f_n); Gamma_i gets nonzeros only
+    m = dict((metric @ _of(n, n, algebra.ad_matrix._r)).items())
+    gammas: list[dict[int, dict[int, Scalar]]] = [{} for _ in range(n)]
     for (c, j), x in m.items():
         y = m.get((j, c))
         if y is not None and c > j:
@@ -108,35 +111,39 @@ def levi_civita(algebra: AlmostAbelianAlgebra, metric: Matrix) -> ConnectionTabl
         if c < last and not s.is_zero():
             h = HALF * s
             for i, k in ((c, j), (j, c)):
-                gammas[i][(last, k)] = h
-                gammas[i][(k, last)] = -h
+                gammas[i].setdefault(last, {})[k] = h
+                gammas[i].setdefault(k, {})[last] = -h
         # (M - M^T)[c][j] enters Gamma_{n-1}, halved off its last row and column
         d = ZERO if c == j else x if y is None else x - y
         if not d.is_zero():
             if c != last:
                 d = HALF * d
-            gammas[last][(c, j)] = d
-            gammas[last][(j, c)] = -d
-    christoffel = tuple(Matrix.sparse(n, n, k) for k in gammas)
+            gammas[last].setdefault(c, {})[j] = d
+            gammas[last].setdefault(j, {})[c] = -d
+    christoffel = tuple(_of(n, n, rows) for rows in gammas)
     nabla = tuple(ginv @ gamma for gamma in christoffel)
     return ConnectionTable(algebra, metric, nabla, christoffel)
 
 
-def _upper(p: Matrix) -> dict[int, Scalar]:
-    """The strict upper entries of p - p^T, as {a n + b: entry} for a < b:
-    the lowered coordinates of the g-skew g^{-1} (p - p^T).  Zero entries
-    may remain."""
-    n = p.rows
+def _lowered_product(a: Matrix, b: Matrix) -> dict[int, Scalar]:
+    """The strict upper entries of p - p^T for p = a b, as {i n + j: entry}
+    for i < j: the lowered coordinates of the g-skew g^{-1} (p - p^T).  Each
+    term a[i][k] b[k][j] is added at (i, j) or subtracted at (j, i), so p is
+    never formed.  Zero entries may remain."""
+    n = a.rows
+    rows = b._r
     out: dict[int, Scalar] = {}
-    for (a, b), x in p.items():
-        if a < b:
-            k = a * n + b
-            v = out.get(k)
-            out[k] = x if v is None else v + x
-        elif a > b:
-            k = b * n + a
-            v = out.get(k)
-            out[k] = -x if v is None else v - x
+    for i, row in a._r.items():
+        for k, x in row.items():
+            for j, y in rows.get(k, _EMPTY).items():
+                if i < j:
+                    key = i * n + j
+                    v = out.get(key)
+                    out[key] = x * y if v is None else v + x * y
+                elif i > j:
+                    key = j * n + i
+                    v = out.get(key)
+                    out[key] = -(x * y) if v is None else v - x * y
     return out
 
 
@@ -163,11 +170,11 @@ def curvature(conn: ConnectionTable) -> CurvatureReport:
 
     g R(f_i, f_j) = Gamma_i nabla_j - Gamma_j nabla_i - g nabla_{[f_i, f_j]},
     and Gamma_j nabla_i = (Gamma_i nabla_j)^T (both Gamma are skew and
-    nabla = g^{-1} Gamma), so one product Gamma_i nabla_j gives the lowered
-    coordinates.  The only nonzero brackets are [f_i, f_n] = -A f_i, so the
-    bracket term adds A[k][i] Gamma_k to the pairs (i, n-1) only, for the
-    nonzero entries of column i of A.  Each nonzero R is raised once with
-    the inverse metric; every zero R is one shared zero matrix."""
+    nabla = g^{-1} Gamma), so _lowered_product(Gamma_i, nabla_j) gives the
+    lowered coordinates.  The only nonzero brackets are [f_i, f_n] = -A f_i,
+    so the bracket term adds A[k][i] Gamma_k to the pairs (i, n-1) only, for
+    the nonzero entries of column i of A.  Each nonzero R is raised once
+    with the inverse metric; every zero R is one shared zero matrix."""
     algebra = conn.algebra
     n = algebra.n
     last = n - 1
@@ -180,7 +187,7 @@ def curvature(conn: ConnectionTable) -> CurvatureReport:
     lowered: dict[tuple[int, int], dict[int, Scalar]] = {}
     for i in range(n):
         for j in range(i + 1, n):
-            u = _upper(conn.christoffel[i] @ nabla[j])
+            u = _lowered_product(conn.christoffel[i], nabla[j])
             if j == last:
                 for k, c in columns.row_items(i):
                     _sub_scaled(u, -c, upper_gamma[k])
@@ -191,9 +198,9 @@ def curvature(conn: ConnectionTable) -> CurvatureReport:
     # through its row a, and row a, negated, through its row b
     ric: dict[tuple[int, int], Scalar] = {}
     for (a, b), m in r.items():
-        for j, x in m.row_items(a):
+        for j, x in m._r.get(a, _EMPTY).items():
             ric[(b, j)] = ric.get((b, j), ZERO) + x
-        for j, x in m.row_items(b):
+        for j, x in m._r.get(b, _EMPTY).items():
             ric[(a, j)] = ric.get((a, j), ZERO) - x
     ricci = Matrix.sparse(n, n, ric)
     is_flat = all(m.is_zero() for m in r.values())
@@ -213,20 +220,20 @@ def _nabla_r(conn: ConnectionTable, report: CurvatureReport, triples):
 
     yielding ((z, x, y), u) lazily for each triple, u the nonzero lowered
     coordinates of the value, so that a caller can stop at the first
-    nonzero value.  The first term is _upper(Gamma_z R(f_x, f_y)), the
-    others subtract lowered curvatures; only the nonzero entries of the
-    columns nabla_z f_x and nabla_z f_y are walked."""
-    cols = [m.transpose() for m in conn.nabla]  # row x of cols[z] is nabla_z f_x
+    nonzero value.  The first term is the fused product of Gamma_z and
+    R(f_x, f_y), the others subtract lowered curvatures; only the nonzero
+    entries of the columns nabla_z f_x and nabla_z f_y are walked."""
+    cols = [m.transpose()._r for m in conn.nabla]  # row x of cols[z] is nabla_z f_x
 
     def sub(u, c, p, q):  # u <- u - c * lowered R(f_p, f_q)
         if p != q:
             _sub_scaled(u, c if p < q else -c, report.lowered[(min(p, q), max(p, q))])
 
     for z, x, y in triples:
-        u = _upper(conn.christoffel[z] @ report.r_of(x, y))
-        for a, c in cols[z].row_items(x):
+        u = _lowered_product(conn.christoffel[z], report.r_of(x, y))
+        for a, c in cols[z].get(x, _EMPTY).items():
             sub(u, c, a, y)
-        for a, c in cols[z].row_items(y):
+        for a, c in cols[z].get(y, _EMPTY).items():
             sub(u, c, x, a)
         yield (z, x, y), {k: v for k, v in u.items() if not v.is_zero()}
 
@@ -236,15 +243,17 @@ def _curved_triples(conn: ConnectionTable, report: CurvatureReport) -> list:
     involves a nonzero R(f_p, f_q); nabla R vanishes at every other triple.
 
     R(nabla_z f_x, f_y) involves R(f_p, f_q) when y = q and nabla_z[p, x] != 0,
-    or y = p and nabla_z[q, x] != 0; the last term likewise with x, y swapped."""
+    or y = p and nabla_z[q, x] != 0; the last term likewise with x, y swapped;
+    a z with nabla_z = 0 is dropped."""
+    moving = [(z, nz._r) for z, nz in enumerate(conn.nabla) if not nz.is_zero()]
     out = set()
     for (p, q), m in report.r.items():
         if m.is_zero():
             continue
-        for z, nz in enumerate(conn.nabla):
+        for z, rows in moving:
             out.add((z, p, q))
             for a, b in ((p, q), (q, p)):
-                out.update((z, min(c, b), max(c, b)) for c, _ in nz.row_items(a) if c != b)
+                out.update((z, min(c, b), max(c, b)) for c in rows.get(a, _EMPTY) if c != b)
     return sorted(out)
 
 
@@ -273,8 +282,8 @@ def holonomy_algebra(conn: ConnectionTable, report: CurvatureReport) -> list[Mat
     The span test reads a candidate's lowered coordinates, which h -> g h
     maps injectively, so the basis keeps the same elements in the same
     order as on the endomorphisms themselves.  A derivative [nabla_z, h]
-    costs one sparse product Gamma_z h, whose lowered coordinates it is
-    tested on, and is raised from them, as ``curvature`` raises R, only
+    costs one ``_lowered_product(Gamma_z, h)``, its lowered coordinates,
+    which it is tested on and raised from, as ``curvature`` raises R, only
     when it is kept; a direction z with Gamma_z = 0 gives only zero
     candidates and is skipped.  Any other candidate is zero exactly when
     [nabla_z, h] = 0, which only the product shows, so none is skipped."""
@@ -297,7 +306,7 @@ def holonomy_algebra(conn: ConnectionTable, report: CurvatureReport) -> list[Mat
                 frontier.append(m)
         if not frontier:
             return basis
-        candidates = ((_upper(conn.christoffel[z] @ m), None)
+        candidates = ((_lowered_product(conn.christoffel[z], m), None)
                       for m in frontier for z in moving)
 
 

@@ -121,7 +121,7 @@ class Matrix:
 
     def row_items(self, i: int):
         """(j, entry) for the nonzero entries of row i."""
-        return self._r.get(i, _EMPTY).items()
+        return self._r.get(range(self.rows)[index(i)], _EMPTY).items()
 
     # -- algebra -------------------------------------------------------------
 
@@ -211,7 +211,9 @@ class Matrix:
         return not self._r
 
     def is_symmetric(self) -> bool:
-        return self.rows == self.cols and self._r == self.transpose()._r
+        r = self._r
+        return self.rows == self.cols and all(
+            x == r.get(j, _EMPTY).get(i) for i, row in r.items() for j, x in row.items())
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):

@@ -240,6 +240,21 @@ def oracle_levi_civita(algebra: AlmostAbelianAlgebra, metric: Matrix) -> list:
     return out
 
 
+def oracle_lowered_product(a: Matrix, b: Matrix) -> dict:
+    """The strict upper entries of p - p^T for p = a @ b, as {i n + j: entry}
+    for i < j, read off the formed product p; zero entries may remain.  The
+    two-step form of the library's fused ``_lowered_product``."""
+    p = a @ b
+    n = p.rows
+    out: dict = {}
+    for (i, j), x in p.items():
+        if i < j:
+            out[i * n + j] = out.get(i * n + j, ZERO) + x
+        elif i > j:
+            out[j * n + i] = out.get(j * n + i, ZERO) - x
+    return out
+
+
 def _dense_lin(n, terms):
     """sum c * m over (c, m) in terms, on n x n dense lists."""
     out = [[ZERO] * n for _ in range(n)]

@@ -5,8 +5,9 @@ its own ``call`` and ``check``, with its taps installed, and every traced
 function of ``spans.TRACED`` is wrapped and restored.  A change that
 breaks a name, a tap or an oracle of the benchmark fails here.  Counts of
 the Scalar operations that the sweep spends on its witness points, and that
-decide and report spend on one cycle of items, guard their per-item work.
-Nothing in perfbench/ is changed.
+decide and report spend on one cycle of items, guard their per-item work;
+a count of the matrices that the sweep builds on its witness points guards
+against intermediates coming back.  Nothing in perfbench/ is changed.
 """
 
 import sys
@@ -14,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from g2aa import linalg
 from g2aa.classify import pipeline_report
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -24,10 +26,13 @@ import workloads  # noqa: E402
 ITEMS = 18  # one cycle of the report workload, three of decide
 # Scalar add + sub + mul calls of pipeline_report over the witness points
 # of the sweep, with the certify cache and the metric's inverse warm
-SWEEP_WITNESS_SCALAR_OPS = 570
+SWEEP_WITNESS_SCALAR_OPS = 528
+# Matrix objects (``linalg._of`` calls) that pipeline_report builds over the
+# witness points of the sweep, with the same caches warm
+SWEEP_WITNESS_MATRICES = 390
 # Scalar add + sub + mul calls of one cycle of items (0..17 at seed 7),
 # after one warm pass over the same items
-CYCLE_SCALAR_OPS = {"decide": 2634, "report": 21444}
+CYCLE_SCALAR_OPS = {"decide": 2634, "report": 20466}
 
 
 def scalar_ops(run) -> dict:
@@ -88,6 +93,32 @@ def test_sweep_witness_scalar_ops_stay_within_their_count(tmp_path):
     points = [sweep.item(i).call for i in range(len(workloads.SWEEP_WITNESSES))]
     counts = scalar_ops(lambda: [pipeline_report(p) for p in points])
     assert counts["add"] + counts["sub"] + counts["mul"] <= SWEEP_WITNESS_SCALAR_OPS, counts
+
+
+def test_sweep_witness_matrix_builds_stay_within_their_count(tmp_path, monkeypatch):
+    """Every Matrix but the parsed ones is made by ``linalg._of``, which
+    ``geometry`` also binds; its calls count the matrices a sweep point
+    builds, so that a removed intermediate product cannot come back."""
+    sweep = workloads.Sweep(7, tmp_path)
+    points = [sweep.item(i).call for i in range(len(workloads.SWEEP_WITNESSES))]
+    for p in points:
+        pipeline_report(p)
+    original = linalg._of
+    built = 0
+
+    def counted(*args):
+        nonlocal built
+        built += 1
+        return original(*args)
+
+    owners = [m for name, m in sorted(sys.modules.items())
+              if name.startswith("g2aa") and getattr(m, "_of", None) is original]
+    assert "g2aa.linalg" in [m.__name__ for m in owners]
+    for m in owners:
+        monkeypatch.setattr(m, "_of", counted)
+    for p in points:
+        pipeline_report(p)
+    assert built <= SWEEP_WITNESS_MATRICES, built
 
 
 @pytest.mark.parametrize("name", sorted(CYCLE_SCALAR_OPS))

@@ -8,15 +8,17 @@ import pytest
 
 from g2aa.exterior import gl_action
 from g2aa.g2 import certify_g2, rho_model, rho_null_model, stabilizer_algebra, witt_phi
-from g2aa.geometry import curvature, levi_civita
-from g2aa.liealg import NILPOTENT_CATALOG, AlmostAbelianAlgebra, SegrePartition, segre_partition
-from conftest import random_unimodular, witness_block_matrix
+from g2aa.geometry import analyze, curvature, levi_civita
+from g2aa.liealg import (NILPOTENT_CATALOG, AlmostAbelianAlgebra, SegrePartition,
+                         identify_nilpotent, segre_partition)
+from conftest import SWEEP_WITNESSES, random_unimodular, sweep_params, witness_block_matrix
 from g2aa.classify import (
     CALIBRATED_MODES,
     NULL_PAIR_BASIS,
     PARALLEL_MODES,
     Decision,
     NilpotentParallelParams,
+    NilpotentReport,
     ParallelFamilyParams,
     blockdiag,
     build_instance,
@@ -268,6 +270,19 @@ def test_report_matches_pipeline_sampled():
         assert closed.hol_dim == direct.hol_dim
         assert closed.locally_symmetric == direct.locally_symmetric
         assert closed.flat == direct.flat
+
+
+def test_pipeline_report_reads_the_four_fields_of_analyze():
+    """pipeline_report runs four stages of the geometry itself, not
+    analyze: its fields are analyze's, at the sweep witnesses and on an
+    evenly spaced sample of the bound-2 grid."""
+    points = [sweep_params(*w) for w in SWEEP_WITNESSES] + list(sweep_sample(2, 60))
+    for p in points:
+        inst = build_instance(p)
+        rep = analyze(inst.algebra, inst.phi, inst.structure.metric)
+        want = NilpotentReport(identify_nilpotent(inst.algebra).name, rep.hol_dim,
+                               rep.is_locally_symmetric, rep.is_flat)
+        assert pipeline_report(p) == want
 
 
 def _listed_sample(bound, count):

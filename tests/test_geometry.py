@@ -8,8 +8,8 @@ from g2aa.exterior import DegenerateMetricError, KForm, gl_action
 from g2aa.g2 import adapted_metric, certify_g2, witt_phi
 from g2aa.geometry import (
     _curved_triples,
+    _lowered_product,
     _raise,
-    _upper,
     analyze,
     annihilates,
     curvature,
@@ -24,8 +24,8 @@ from g2aa.linalg import Matrix
 from g2aa.scalars import HALF, SQRT2, ZERO, Scalar
 
 from conftest import (is_abelian_family, oracle_curvature, oracle_holonomy, oracle_levi_civita,
-                      oracle_nabla_r, oracle_ricci, random_matrix, random_scalar,
-                      random_unimodular, sweep_witness_pairs)
+                      oracle_lowered_product, oracle_nabla_r, oracle_ricci, random_matrix,
+                      random_scalar, random_unimodular, sweep_witness_pairs)
 
 
 def example_a_algebra():
@@ -458,7 +458,7 @@ def test_holonomy_keeps_derivatives_beyond_the_curvature(eps, entries, span, dim
 
 def test_empty_holonomy_candidates_are_the_commuting_pairs():
     """g [nabla_z, h] = Gamma_z h - (Gamma_z h)^T for g-skew h, so the
-    candidate _upper(Gamma_z h) is all zeros exactly when [nabla_z, h] = 0:
+    candidate _lowered_product(Gamma_z, h) is all zeros exactly when [nabla_z, h] = 0:
     only the product shows which candidates are empty."""
     seen = set()
     for alg, g in sweep_witness_pairs():
@@ -467,7 +467,7 @@ def test_empty_holonomy_candidates_are_the_commuting_pairs():
             for z, gamma in enumerate(conn.christoffel):
                 if gamma.is_zero():
                     continue
-                empty = all(x.is_zero() for x in _upper(gamma @ h).values())
+                empty = all(x.is_zero() for x in _lowered_product(gamma, h).values())
                 assert empty is conn.nabla[z].commutator(h).is_zero()
                 seen.add(empty)
     assert seen == {True, False}
@@ -496,7 +496,55 @@ def test_lowered_derivative_and_curvature_on_dense_metrics():
                 continue
             for z, gamma in enumerate(conn.christoffel):
                 want = _strict_upper(g @ endo_derivative(conn, z, r))
-                assert _nonzero(_upper(gamma @ r)) == want
+                assert _nonzero(_lowered_product(gamma, r)) == want
+
+
+def _lowered_product_pairs():
+    """(a, b) pairs for the fused lowered product: dense Q(sqrt2) squares of
+    several sizes, sparse ones, zero ones, and pairs that do not commute."""
+    rng = random.Random(25)
+    pairs = [(random_matrix(rng, n, sqrt2=True), random_matrix(rng, n, sqrt2=True))
+             for n in (1, 2, 4, 7, 7)]
+    pairs += [(Matrix.sparse(7, 7, {(0, 6): SQRT2, (6, 0): -1, (3, 3): HALF}),
+               Matrix.sparse(7, 7, {(6, 2): 2, (0, 5): -SQRT2, (3, 1): 1})),
+              (Matrix.zero(7), random_matrix(rng, 7)),
+              (random_matrix(rng, 7), Matrix.zero(7)),
+              (Matrix.zero(5), Matrix.zero(5))]
+    e12, e21 = Matrix.sparse(3, 3, {(0, 1): 1}), Matrix.sparse(3, 3, {(1, 0): 1})
+    pairs += [(e12, e21), (e21, e12)]
+    for alg, g in sweep_witness_pairs()[1:3]:
+        conn = levi_civita(alg, g)
+        pairs += [(gamma, h) for gamma in conn.christoffel for h in conn.nabla]
+    return pairs
+
+
+def test_fused_lowered_product_equals_the_formed_product():
+    pairs = _lowered_product_pairs()
+    assert any(not (a @ b - b @ a).is_zero() for a, b in pairs)
+    kinds = set()
+    for a, b in pairs:
+        got = _nonzero(_lowered_product(a, b))
+        assert got == _nonzero(oracle_lowered_product(a, b))
+        kinds.add(bool(got))
+    assert kinds == {True, False}
+
+
+def test_nabla_r_where_some_nabla_vanishes():
+    """On the curved sweep witnesses most nabla_z vanish.  The scan drops
+    those directions, and the full nabla R, read at every triple, still
+    equals the dense oracle; the witnesses hold both answers of the scan."""
+    answers = set()
+    for alg, g in sweep_witness_pairs():
+        conn = levi_civita(alg, g)
+        rep = curvature(conn)
+        still = {z for z, m in enumerate(conn.nabla) if m.is_zero()}
+        if rep.is_flat or not still:
+            continue
+        assert not still & {z for z, _, _ in _curved_triples(conn, rep)}
+        for (z, x, y), want in oracle_nabla_r(conn).items():
+            assert nabla_r_full(conn, rep, z, x, y).tolist() == want
+        answers.add(is_locally_symmetric(conn, rep))
+    assert answers == {True, False}
 
 
 def _basis_change(draw, n=7):

@@ -243,6 +243,10 @@ def test_sparse_storage_with_dense_views():
     assert dense.tolist() == [[ZERO, ONE, ZERO], [ZERO] * 3,
                               [Scalar(Fraction(1, 2)), ZERO, Scalar(0, 1)]]
     assert dense[-1, -1] == Scalar(0, 1) and dense[1, 2] == ZERO
+    # row_items resolves its index as row does: -1 is the last row
+    assert list(dense.row_items(-1)) == list(dense.row_items(2)) == [
+        (0, Scalar(Fraction(1, 2))), (2, Scalar(0, 1))]
+    assert list(dense.row_items(1)) == []
     with pytest.raises(IndexError):
         dense[3, 0]
     with pytest.raises(IndexError):
@@ -254,6 +258,19 @@ def test_sparse_storage_with_dense_views():
                  Matrix([[1, 1]]) @ Matrix([[1], [-1]]), a.commutator(a)):
         assert list(zero.items()) == [] and zero.is_zero()
     assert a - a == Matrix.zero(2) and hash(a - a) == hash(Matrix.zero(2))
+
+
+def test_is_symmetric_against_the_transpose():
+    rng = random.Random(26)
+    sym = Matrix.sparse(3, 3, {(0, 2): SQRT2, (2, 0): SQRT2, (1, 1): 3})
+    cases = [sym, Matrix.zero(3), Matrix.zero(2, 3), Matrix([[1, 2, 3]]),
+             Matrix.sparse(3, 3, {(0, 2): SQRT2}),  # (2, 0) is missing
+             Matrix.sparse(3, 3, {(0, 2): SQRT2, (2, 0): 1})]
+    cases += [m + m.transpose() for m in (_sparse_random(rng, 4, 4) for _ in range(3))]
+    cases += [_sparse_random(rng, 4, 4) for _ in range(3)]
+    for m in cases:
+        assert m.is_symmetric() is (m.shape[0] == m.shape[1] and m == m.transpose())
+    assert sum(m.is_symmetric() for m in cases) == 5
 
 
 def _sparse_random(rng, rows, cols, density=0.6):

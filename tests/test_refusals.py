@@ -61,17 +61,23 @@ REFUSALS = [
     ("Matrix entry at a column slice", lambda: M22[0, 0:1], TypeError),
     ("Matrix row of a slice", lambda: M22.row(slice(0, 1)), TypeError),
     ("Matrix column of a slice", lambda: M22.column(slice(0, 1)), TypeError),
+    ("Matrix row_items past the last row", lambda: list(M22.row_items(5)), IndexError),
+    # a negative index counts from the end, as in row(), so -3 is the one refused
+    ("Matrix row_items before the first row", lambda: list(M22.row_items(-3)), IndexError),
     # exterior
     ("KForm of negative degree", lambda: KForm(3, -1), ValueError),
     ("KForm of degree above dim", lambda: KForm(3, 4, {(1, 2, 3, 4): 1}), ValueError),
     ("KForm index length", lambda: KForm(3, 2, {(1,): 1}), ValueError),
     ("KForm index order", lambda: KForm(3, 2, {(2, 1): 1}), ValueError),
     ("KForm index range", lambda: KForm(3, 1, {(4,): 1}), ValueError),
+    ("KForm index of a float", lambda: KForm(3, 1, {(1.0,): 1}), TypeError),
+    ("KForm index of a bool", lambda: KForm(3, 1, {(True,): 1}), TypeError),
     ("coefficient of too few indices", lambda: E12.coefficient(1), ValueError),
     ("coefficient of no index", lambda: E12.coefficient(), ValueError),
     ("coefficient of too many indices", lambda: E12.coefficient(1, 2, 3), ValueError),
     ("coefficient at index 0", lambda: E12.coefficient(0, 1), ValueError),
     ("coefficient at an index past dim", lambda: E12.coefficient(1, 5), ValueError),
+    ("coefficient at a float index", lambda: E12.coefficient(1.0, 2), TypeError),
     ("KForm + across degrees", lambda: KForm.basis(3, 1) + KForm.basis(3, 1, 2),
      DimensionMismatchError),
     ("interior vector length", lambda: interior([1, 0], KForm.basis(3, 1)),
