@@ -146,9 +146,11 @@ def structure_matrix(a2: Matrix, b2: Matrix, v, w) -> Matrix:
     })
 
 
+_N_DELTA = {delta: Matrix([[0, delta], [0, 0]]) for delta in (-1, 0, 1)}
+
+
 def nilpotent_structure_matrix(p: NilpotentParallelParams) -> Matrix:
-    n_block = Matrix([[0, p.delta], [0, 0]])
-    return structure_matrix(n_block, p.b, p.v, p.w)
+    return structure_matrix(_N_DELTA[p.delta], p.b, p.v, p.w)
 
 
 def is_parallel_witt(m: Matrix):

@@ -10,6 +10,10 @@ pullback along g^{-1} followed by complementing indices, and the form a
 subspace inherits is the pullback along the matrix of its basis vectors.
 It runs in Z[sqrt2] integer pairs over one common denominator, like the
 elimination engine of ``linalg``, and builds each result ``Scalar`` once.
+
+``KForm(...)`` and ``KForm.build`` check every term they are given; the
+kernels ``gl_action``, ``pullback``, ``hodge_star`` and ``liealg.differential``
+build their results with ``_form``, which only drops zero coefficients.
 """
 
 from __future__ import annotations
@@ -211,6 +215,16 @@ class KForm:
         return KForm.from_json_dict(json.loads(text))
 
 
+def _form(dim: int, degree: int, terms: Iterable[tuple[tuple[int, ...], Scalar]]) -> KForm:
+    """The form of the nonzero (index tuple, Scalar) ``terms``, unchecked:
+    each tuple must be strictly increasing, in 1..dim and of length degree."""
+    f = object.__new__(KForm)
+    object.__setattr__(f, "dim", dim)
+    object.__setattr__(f, "degree", degree)
+    object.__setattr__(f, "_t", {idx: c for idx, c in terms if c.a or c.b})
+    return f
+
+
 # -- operations ----------------------------------------------------------------
 
 
@@ -260,7 +274,7 @@ def gl_action(m: Matrix, a: KForm) -> KForm:
                     continue
                 term = co * c
                 acc[tup] = acc.get(tup, ZERO) + (-term if sg > 0 else term)
-    return KForm(a.dim, a.degree, acc)
+    return _form(a.dim, a.degree, acc.items())
 
 
 def pullback(m: Matrix, a: KForm) -> KForm:
@@ -297,8 +311,8 @@ def pullback(m: Matrix, a: KForm) -> KForm:
             s = acc.get(stup, (0, 0))
             acc[stup] = (s[0] + pa, s[1] + pb) if sg > 0 else (s[0] - pa, s[1] - pb)
     den = den_a * den_m**a.degree
-    return KForm(m.cols, a.degree,
-                 {idx: _pair_scalar(p, q, den) for idx, (p, q) in acc.items() if p or q})
+    return _form(m.cols, a.degree,
+                 ((idx, _pair_scalar(p, q, den)) for idx, (p, q) in acc.items() if p or q))
 
 
 def hodge_star(a: KForm, metric: Matrix, orientation_vol: KForm) -> KForm:
@@ -309,6 +323,7 @@ def hodge_star(a: KForm, metric: Matrix, orientation_vol: KForm) -> KForm:
     """
     n = a.dim
     ginv = _metric_inverse(metric, n)
+    a._check(orientation_vol)
     if orientation_vol.degree != n or orientation_vol.is_zero():
         raise ValueError("orientation volume must be a nonzero top form")
     v0 = orientation_vol.coefficient(*range(1, n + 1))
@@ -316,7 +331,7 @@ def hodge_star(a: KForm, metric: Matrix, orientation_vol: KForm) -> KForm:
     for idx, val in pullback(ginv, a).items():
         comp, sg = _complement(idx, n)
         acc[comp] = v0 * val if sg > 0 else -(v0 * val)
-    return KForm(n, n - a.degree, acc)
+    return _form(n, n - a.degree, acc.items())
 
 
 def _metric_inverse(metric: Matrix, n: int) -> Matrix:

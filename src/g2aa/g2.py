@@ -383,13 +383,17 @@ def witt_frame_from_adapted() -> WittFrame:
     return WittFrame(Matrix(rows))
 
 
+_WITT_PHI = KForm.build(7, 3, [
+    (-1, 1, 5, 6), (-1, 2, 3, 6), (1, 2, 4, 5),
+    (Scalar(Fraction(-1, 2)), 1, 2, 7), (-1, 3, 4, 7),
+])
+
+
 def witt_phi() -> KForm:
     """The split three-form in its Witt frame:
-    -F^156 - F^236 + F^245 - 1/2 F^127 - F^347."""
-    return KForm.build(7, 3, [
-        (-1, 1, 5, 6), (-1, 2, 3, 6), (1, 2, 4, 5),
-        (Scalar(Fraction(-1, 2)), 1, 2, 7), (-1, 3, 4, 7),
-    ])
+    -F^156 - F^236 + F^245 - 1/2 F^127 - F^347, one immutable form built at
+    import and shared by every call, which the certify cache matches by identity."""
+    return _WITT_PHI
 
 
 def witt_star_phi() -> KForm:

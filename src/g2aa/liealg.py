@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .exterior import KForm, gl_action
+from .exterior import KForm, _form, gl_action
 from .linalg import Matrix
 from .scalars import ZERO, Scalar, json_int, json_list, json_object, json_scalar
 
@@ -73,10 +73,10 @@ def differential(algebra: AlmostAbelianAlgebra, a: KForm) -> KForm:
     n = algebra.n
     if a.dim != n:
         raise ValueError(f"form must live on the {n}-dimensional algebra")
-    rho = KForm(n - 1, a.degree, {idx: c for idx, c in a.items() if n not in idx})
+    rho = _form(n - 1, a.degree, ((idx, c) for idx, c in a.items() if n not in idx))
     odd = a.degree % 2
-    return KForm(n, a.degree + 1, {idx + (n,): -c if odd else c
-                                   for idx, c in gl_action(algebra.ad_matrix, rho).items()})
+    return _form(n, a.degree + 1, ((idx + (n,), -c if odd else c)
+                                   for idx, c in gl_action(algebra.ad_matrix, rho).items()))
 
 
 def is_stabilized(algebra: AlmostAbelianAlgebra, a: KForm) -> bool:

@@ -70,11 +70,11 @@ class Matrix:
 
     @staticmethod
     def zero(rows: int, cols: int | None = None) -> "Matrix":
-        return _of(rows, rows if cols is None else cols, {})
+        return Matrix.sparse(rows, rows if cols is None else cols, {})
 
     @staticmethod
     def identity(n: int) -> "Matrix":
-        return _of(n, n, {i: {i: ONE} for i in range(n)})
+        return Matrix.sparse(n, n, {(i, i): ONE for i in range(n)})
 
     @staticmethod
     def diagonal(values: Iterable) -> "Matrix":
@@ -84,7 +84,9 @@ class Matrix:
     @staticmethod
     def sparse(rows: int, cols: int, entries: Mapping[tuple[int, int], object]) -> "Matrix":
         """The rows x cols matrix with the given (i, j) -> value entries,
-        zero elsewhere."""
+        zero elsewhere; a shape below 1x1 is refused, as by ``Matrix([])``."""
+        if rows < 1 or cols < 1:
+            raise ValueError(f"matrix needs at least one row and one column, not {rows}x{cols}")
         for i, j in entries:
             if not (0 <= i < rows and 0 <= j < cols):
                 raise IndexError(f"entry ({i}, {j}) outside a {rows}x{cols} matrix")

@@ -3,6 +3,9 @@
 Every coefficient in this library is a ``Scalar``: a pair of rationals
 (a, b) representing a + b*sqrt(2), stored in lowest terms.  Arithmetic is
 exact; there is no rounding anywhere, and no conversion to a float.
+
+``Scalar(a, b)`` checks and converts its parts; arithmetic builds its results
+unchecked with ``_new``, and a rational one shares one zero sqrt2 part.
 """
 
 from __future__ import annotations
@@ -16,6 +19,8 @@ from math import lcm
 from typing import Collection, Union
 
 RationalLike = Union[int, Fraction, str]
+_ZERO = Fraction(0)
+_set = object.__setattr__
 
 
 class DomainError(ValueError):
@@ -30,11 +35,11 @@ class Scalar:
 
     __slots__ = ("a", "b")
 
-    def __init__(self, a: RationalLike = 0, b: RationalLike = 0):
-        object.__setattr__(self, "a", a if type(a) is Fraction else
-                           Fraction(a) if type(a) is int else _fraction(a))
-        object.__setattr__(self, "b", b if type(b) is Fraction else
-                           Fraction(b) if type(b) is int else _fraction(b))
+    def __init__(self, a: RationalLike = _ZERO, b: RationalLike = _ZERO):
+        _set(self, "a", a if type(a) is Fraction else
+             Fraction(a) if type(a) is int else _fraction(a))
+        _set(self, "b", b if type(b) is Fraction else
+             Fraction(b) if type(b) is int else _fraction(b))
 
     def __setattr__(self, name, value):
         raise AttributeError("Scalar is immutable")
@@ -99,7 +104,7 @@ class Scalar:
             return self
         if not (self.a or self.b):
             return other
-        return Scalar(self.a + other.a, self.b + other.b)
+        return _new(self.a + other.a, self.b + other.b if self.b or other.b else _ZERO)
 
     __radd__ = __add__
 
@@ -109,16 +114,16 @@ class Scalar:
             return NotImplemented
         if not (other.a or other.b):
             return self
-        return Scalar(self.a - other.a, self.b - other.b)
+        return _new(self.a - other.a, self.b - other.b if self.b or other.b else _ZERO)
 
     def __rsub__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return Scalar(other.a - self.a, other.b - self.b)
+        return _new(other.a - self.a, other.b - self.b if self.b or other.b else _ZERO)
 
     def __neg__(self):
-        return Scalar(-self.a, -self.b)
+        return _new(-self.a, -self.b if self.b else _ZERO)
 
     def __mul__(self, other):
         other = _coerce(other)
@@ -130,8 +135,8 @@ class Scalar:
         if not (c or d):
             return other
         if not b and not d:
-            return Scalar(a * c)
-        return Scalar(a * c + 2 * b * d, a * d + b * c)
+            return _new(a * c, _ZERO)
+        return _new(a * c + 2 * b * d, a * d + b * c)
 
     __rmul__ = __mul__
 
@@ -214,6 +219,15 @@ class Scalar:
 
     def __repr__(self) -> str:
         return f"Scalar({self})"
+
+
+def _new(a: Fraction, b: Fraction) -> Scalar:
+    """The scalar a + b*sqrt2 from two Fractions, unchecked: the trusted
+    constructor of arithmetic results."""
+    s = object.__new__(Scalar)
+    _set(s, "a", a)
+    _set(s, "b", b)
+    return s
 
 
 # p/q, then [+-] r/s*sqrt2, with q, s != 0; the rational part is cut off only

@@ -15,7 +15,9 @@ from g2aa.exterior import (
     pullback,
     wedge,
 )
-from g2aa.g2 import adapted_metric, phi_model
+from g2aa.classify import NilpotentParallelParams, build_instance
+from g2aa.g2 import adapted_metric, phi_model, witt_phi
+from g2aa.liealg import AlmostAbelianAlgebra, differential
 from g2aa.linalg import Matrix
 from g2aa.scalars import ONE, ZERO, Scalar
 
@@ -252,6 +254,31 @@ def test_pullback_against_minors():
     assert pullback(m, KForm.basis(5, 1, 3)).is_zero()
     assert pullback(Matrix.zero(4, 3), KForm.constant(4, Scalar(1, 1))) == \
         KForm.constant(3, Scalar(1, 1))
+
+
+def test_kernel_outputs_equal_the_checked_constructor():
+    # gl_action, pullback, hodge_star and differential build their results
+    # unchecked; each must be the form that KForm() would build from its
+    # terms, with no zero coefficient kept
+    rng = random.Random(28)
+    outputs = []
+    for _ in range(20):
+        n = rng.randint(2, 6)
+        f = random_form(rng, n, rng.randint(0, n), terms=4, sqrt2=True)
+        m = random_matrix(rng, n, span=2, sqrt2=True)
+        frame = random_unimodular(rng, n)
+        vol = KForm(n, n, {tuple(range(1, n + 1)): random_scalar(rng) or ONE})
+        algebra = AlmostAbelianAlgebra(n, random_matrix(rng, n - 1, span=2))
+        outputs += [gl_action(m, f), pullback(m, f),
+                    hodge_star(f, frame.transpose() @ frame, vol), differential(algebra, f)]
+    # terms that cancel: a trace-free diagonal kills e^12, and the three-form
+    # of a parallel instance is closed
+    outputs.append(gl_action(Matrix.diagonal([1, -1, 0]), KForm.basis(3, 1, 2)))
+    instance = build_instance(NilpotentParallelParams.of(1, [[1, 0], [1, 1]], (0, 1), (1, 0)))
+    outputs.append(differential(instance.algebra, witt_phi()))
+    for out in outputs:
+        assert out == KForm(out.dim, out.degree, dict(out.items()))
+        assert all(not c.is_zero() for _, c in out.items()), out
 
 
 def test_json_round_trip():

@@ -49,6 +49,12 @@ REFUSALS = [
     ("Matrix of no rows", lambda: Matrix([]), ValueError),
     ("Matrix of an empty row", lambda: Matrix([[]]), ValueError),
     ("Matrix of ragged rows", lambda: Matrix([[1, 2], [3]]), ValueError),
+    ("Matrix.zero of a negative size", lambda: Matrix.zero(-1), ValueError),
+    ("Matrix.zero of no columns", lambda: Matrix.zero(2, 0), ValueError),
+    ("Matrix.identity of a negative size", lambda: Matrix.identity(-2), ValueError),
+    ("Matrix.identity of size 0", lambda: Matrix.identity(0), ValueError),
+    ("Matrix.sparse of a negative size", lambda: Matrix.sparse(-1, 2, {}), ValueError),
+    ("Matrix.diagonal of no values", lambda: Matrix.diagonal([]), ValueError),
     ("@ shape mismatch", lambda: M23 @ M23, ValueError),
     ("+ shape mismatch", lambda: M23 + M23.transpose(), ValueError),
     ("apply length", lambda: M23.apply([1, 2]), ValueError),
@@ -90,6 +96,9 @@ REFUSALS = [
      lambda: hodge_star(phi_model(1), I7, KForm.basis(7, 1)), ValueError),
     ("hodge_star zero orientation", lambda: hodge_star(phi_model(1), I7, KForm.zero(7, 7)),
      ValueError),
+    ("hodge_star orientation on another dimension", lambda: hodge_star(
+        KForm.basis(3, 1), Matrix.identity(3), KForm(4, 3, {(1, 2, 3): 1})),
+     DimensionMismatchError),
     # geometry
     ("levi_civita metric size", lambda: levi_civita(ALG7, Matrix.identity(6)),
      DimensionMismatchError),

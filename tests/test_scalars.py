@@ -5,6 +5,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from g2aa.scalars import HALF_SQRT2, ONE, SQRT2, ZERO, DomainError, Scalar, as_scalar
 
@@ -148,3 +149,24 @@ def test_as_scalar_rejects_junk():
     assert Scalar(True, False) == ONE
     with pytest.raises(ZeroDivisionError):
         ZERO.inverse()
+
+
+# Q(sqrt2) with zero and the rationals well represented
+parts = st.one_of(st.just(Fraction(0)), st.fractions(-9, 9, max_denominator=6))
+elements = st.builds(Scalar, parts, parts)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(x=elements, y=elements)
+def test_arithmetic_results_equal_the_checked_constructor(x, y):
+    # +, -, * and unary - build their results unchecked; each must be the
+    # scalar that Scalar() would build from its parts, with the same hash
+    cases = [(x + y, x.a + y.a, x.b + y.b), (x - y, x.a - y.a, x.b - y.b),
+             (x * y, x.a * y.a + 2 * x.b * y.b, x.a * y.b + x.b * y.a), (-x, -x.a, -x.b),
+             (1 - x, 1 - x.a, -x.b), (x + 2, x.a + 2, x.b), (3 * x, 3 * x.a, 3 * x.b)]
+    for r, a, b in cases:
+        assert type(r.a) is Fraction and type(r.b) is Fraction
+        assert (r.a, r.b) == (a, b)
+        assert r == Scalar(r.a, r.b) and hash(r) == hash(Scalar(r.a, r.b))
+        if not b:
+            assert hash(r) == hash(r.a)
