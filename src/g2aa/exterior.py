@@ -8,8 +8,10 @@ notation, so ``KForm.basis(7, 1, 2, 7)`` is e^127 on R^7.
 ``pullback`` is the one kernel for changes of basis: the Hodge star is the
 pullback along g^{-1} followed by complementing indices, and the form a
 subspace inherits is the pullback along the matrix of its basis vectors.
-It runs in Z[sqrt2] integer pairs over one common denominator, like the
-elimination engine of ``linalg``, and builds each result ``Scalar`` once.
+``pullback`` and ``gl_action``, which also serves ``liealg.differential``,
+run in Z[sqrt2] integer pairs over one common denominator, like the
+elimination engine of ``linalg``, and build each distinct result
+``Scalar`` once.
 
 ``KForm(...)`` and ``KForm.build`` check every term they are given; the
 kernels ``gl_action``, ``pullback``, ``hodge_star`` and ``liealg.differential``
@@ -22,9 +24,9 @@ import json
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
-from .linalg import Matrix
-from .scalars import (ONE, ZERO, DomainError, Scalar, _clear_denominators, _pair_scalar, as_scalar,
-                      json_int, json_list, json_object, json_scalar)
+from .linalg import _EMPTY, Matrix, _pair_rows
+from .scalars import (ONE, ZERO, DomainError, Scalar, _clear_denominators, _PairScalars, _shown,
+                      as_scalar, json_int, json_list, json_object, json_scalar)
 
 
 class DimensionMismatchError(ValueError):
@@ -137,10 +139,14 @@ class KForm:
     # -- algebra -------------------------------------------------------------
 
     def _check(self, other: "KForm"):
+        if not isinstance(other, KForm):
+            raise TypeError(f"expected a KForm, not {_shown(other)}")
         if self.dim != other.dim:
             raise DimensionMismatchError(f"dim {self.dim} vs {other.dim}")
 
     def __add__(self, other: "KForm") -> "KForm":
+        if not isinstance(other, KForm):
+            return NotImplemented
         self._check(other)
         if self.degree != other.degree:
             raise DimensionMismatchError("degree mismatch in addition")
@@ -148,6 +154,8 @@ class KForm:
                            ((c, *idx) for t in (self._t, other._t) for idx, c in t.items()))
 
     def __sub__(self, other: "KForm") -> "KForm":
+        if not isinstance(other, KForm):
+            return NotImplemented
         return self + other.scale(-1)
 
     def __neg__(self) -> "KForm":
@@ -260,21 +268,26 @@ def _moves(dim: int, idx: tuple[int, ...]) -> tuple:
 def gl_action(m: Matrix, a: KForm) -> KForm:
     """Derivation action of gl(n) on forms, pinned by (A.al)(v) = -al(Av)
     on 1-forms so that the almost abelian differential reads d rho = f^n ^ A.rho.
+
+    Its own loop, not ``KForm.build``: the decide and sweep workloads spend
+    their time here.  It runs in Z[sqrt2] integer pairs, m over its common
+    denominator and ``a`` over its own, and reads each re-sorted index tuple
+    and its sign from ``_moves``.
     """
     if m.rows != a.dim or m.cols != a.dim:
         raise DimensionMismatchError("endomorphism size must match form dimension")
-    # its own loop, not KForm.build: the decide and sweep workloads spend their time here
-    rows = [m.row_items(i) for i in range(m.rows)]
-    acc: dict[tuple[int, ...], Scalar] = {}
-    for idx, c in a._t.items():
+    den_m, (rows,) = _pair_rows(m)
+    den_a, terms = _pair_terms(a)
+    acc: dict[tuple[int, ...], tuple[int, int]] = {}
+    for idx, (ca, cb) in terms.items():
         for ip, moved in zip(idx, _moves(a.dim, idx)):
-            for j, co in rows[ip - 1]:
+            for j, (xa, xb) in rows.get(ip - 1, _EMPTY).items():
                 tup, sg = moved[j]
-                if sg == 0:
-                    continue
-                term = co * c
-                acc[tup] = acc.get(tup, ZERO) + (-term if sg > 0 else term)
-    return _form(a.dim, a.degree, acc.items())
+                if sg:
+                    ta, tb = xa * ca + 2 * xb * cb, xa * cb + xb * ca
+                    s = acc.get(tup, (0, 0))
+                    acc[tup] = (s[0] - ta, s[1] - tb) if sg > 0 else (s[0] + ta, s[1] + tb)
+    return _pair_form(a.dim, a.degree, acc, den_a * den_m)
 
 
 def pullback(m: Matrix, a: KForm) -> KForm:
@@ -285,20 +298,17 @@ def pullback(m: Matrix, a: KForm) -> KForm:
     on ``m.cols`` dimensions.  Each term of ``a`` expands as the product of
     its pulled-back 1-forms m^* e^i = sum_j m[i-1][j-1] e^j.  The products
     run in Z[sqrt2] integer pairs, m over its common denominator den_m and
-    ``a`` over den_a, and each term of the result becomes a ``Scalar``
-    once, over den_a * den_m^k.
+    ``a`` over den_a, and each distinct coefficient of the result becomes a
+    ``Scalar`` once, over den_a * den_m^k.
     """
     if m.rows != a.dim:
         raise DimensionMismatchError("matrix rows must match form dimension")
-    entries = list(m.items())
-    den_m, pairs = _clear_denominators([x for _, x in entries])
-    support: list[list[tuple[int, int, int]]] = [[] for _ in range(m.rows)]
-    for ((i, j), _), (xa, xb) in zip(entries, pairs):
-        support[i].append((j + 1, xa, xb))
-    terms = list(a.items())
-    den_a, coefs = _clear_denominators([c for _, c in terms])
+    den_m, (rows,) = _pair_rows(m)
+    support = [[(j + 1, xa, xb) for j, (xa, xb) in rows.get(i, _EMPTY).items()]
+               for i in range(m.rows)]
+    den_a, terms = _pair_terms(a)
     acc: dict[tuple[int, ...], tuple[int, int]] = {}
-    for (idx, _), (ca, cb) in zip(terms, coefs):
+    for idx, (ca, cb) in terms.items():
         # expand the product of pulled-back 1-forms, dropping index tuples
         # that repeat (they wedge to zero)
         partial = [((), ca, cb)]
@@ -310,9 +320,21 @@ def pullback(m: Matrix, a: KForm) -> KForm:
             stup, sg = sort_indices(tup)
             s = acc.get(stup, (0, 0))
             acc[stup] = (s[0] + pa, s[1] + pb) if sg > 0 else (s[0] - pa, s[1] - pb)
-    den = den_a * den_m**a.degree
-    return _form(m.cols, a.degree,
-                 ((idx, _pair_scalar(p, q, den)) for idx, (p, q) in acc.items() if p or q))
+    return _pair_form(m.cols, a.degree, acc, den_a * den_m**a.degree)
+
+
+def _pair_terms(a: KForm) -> tuple[int, dict[tuple[int, ...], tuple[int, int]]]:
+    """(den, {index tuple: (p, q)}): each coefficient of ``a`` as the pair
+    (p, q) of (p + q*sqrt2) / den, den their least common denominator."""
+    den, pairs = _clear_denominators(a._t.values())
+    return den, dict(zip(a._t, pairs))
+
+
+def _pair_form(dim: int, degree: int, acc: dict, den: int) -> KForm:
+    """The form of the (index tuple, pair over den) terms of ``acc``; each
+    distinct pair becomes a ``Scalar`` once, and ``_form`` drops the zeros."""
+    scalars = _PairScalars(den)
+    return _form(dim, degree, ((idx, scalars[x]) for idx, x in acc.items()))
 
 
 def hodge_star(a: KForm, metric: Matrix, orientation_vol: KForm) -> KForm:

@@ -29,8 +29,8 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
-from .exterior import (KForm, _complement, gl_action, hodge_star, interior, pullback,
-                       sort_indices, wedge)
+from .exterior import (KForm, _complement, _form, _pair_terms, gl_action, hodge_star, interior,
+                       pullback, sort_indices, wedge)
 from .linalg import Matrix, _pair_dot
 from .scalars import HALF, HALF_SQRT2, ONE, ZERO, Scalar, _clear_denominators, _pair_scalar
 
@@ -216,9 +216,7 @@ def bilinear_volume_form(phi: KForm) -> Matrix:
     n, k = phi.dim, phi.degree
     if k == 0:
         raise ValueError("bilinear form needs degree >= 1")
-    terms = list(phi.items())
-    den, coefs = _clear_denominators([c for _, c in terms])
-    full = {idx: pq for (idx, _), pq in zip(terms, coefs)}
+    den, full = _pair_terms(phi)
     hooks: list[dict] = [{} for _ in range(n)]
     for idx, (p, q) in full.items():
         for pos, x in enumerate(idx):
@@ -332,7 +330,7 @@ def _certify_cached(phi: KForm) -> G2EpsStructure:
     if c is None:
         return G2EpsStructure(phi, eps, None, None, "generic", scaled, det_b)
     metric = b.scale(c.inverse())
-    vol = KForm(7, 7, {tuple(range(1, 8)): c})
+    vol = _form(7, 7, [(tuple(range(1, 8)), c)])
     return G2EpsStructure(phi, eps, metric, vol, _detect_frame_kind(metric, eps),
                           scaled, det_b)
 

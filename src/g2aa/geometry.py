@@ -15,6 +15,8 @@ The algebra is almost abelian, so the connection and the curvature are
 built from the nonzero brackets [f_n, f_j] = A f_j only (see ``levi_civita``
 and ``curvature``).  The metric is inverted by ``exterior._metric_inverse``,
 as in the Hodge star, and ``Matrix.inverse`` keeps the inverse on it.
+``levi_civita`` is an integer kernel, like ``exterior.pullback``: it runs
+in Z[sqrt2] integer pairs over one common denominator of g, A and g^{-1}.
 
 Lowered coordinates.  The connection keeps the Christoffel matrices
 Gamma_z = g nabla_z, which are skew, and for z < n-1 nonzero only in the
@@ -36,8 +38,8 @@ from dataclasses import dataclass, field
 
 from .exterior import KForm, _metric_inverse, gl_action
 from .liealg import AlmostAbelianAlgebra
-from .linalg import _EMPTY, Echelon, Matrix, _of
-from .scalars import HALF, ZERO, Scalar
+from .linalg import _EMPTY, Echelon, Matrix, _pair_matrix, _pair_product, _pair_rows
+from .scalars import ZERO, Scalar, _PairScalars
 
 
 @dataclass(frozen=True)
@@ -92,36 +94,44 @@ def levi_civita(algebra: AlmostAbelianAlgebra, metric: Matrix) -> ConnectionTabl
       M[n-1][j] at (n-1, j) and -M[n-1][j] at (j, n-1).
 
     Each pair {c, j} of the support of M is read once, so every entry of S
-    and of M - M^T is formed once.  Then nabla_i = g^{-1} Gamma_i."""
+    and of M - M^T is formed once.  Then nabla_i = g^{-1} Gamma_i.  The
+    products run in Z[sqrt2] integer pairs: g, A and g^{-1} over one common
+    denominator den, so M is over den^2, every Gamma_i over 2 den^2 and
+    every nabla_i over 2 den^3, and each distinct entry of the Gamma_i and
+    of the nabla_i becomes a ``Scalar`` once."""
     n = algebra.n
     ginv = _metric_inverse(metric, n)
     if not metric.is_symmetric():
         raise ValueError("metric must be symmetric")
     last = n - 1
-    # A, padded to n x n, shares the row maps of ad(f_n); Gamma_i gets nonzeros only
-    m = dict((metric @ _of(n, n, algebra.ad_matrix._r)).items())
-    gammas: list[dict[int, dict[int, Scalar]]] = [{} for _ in range(n)]
-    for (c, j), x in m.items():
-        y = m.get((j, c))
-        if y is not None and c > j:
-            continue  # read at (j, c): each pair {c, j} is read once
-        # s = 2 S[c][j]; S[c][j] = S[j][c] enters Gamma_c and Gamma_j, while
-        # S[n-1][j] would enter Gamma_j only at (n-1, n-1), where it cancels
-        s = x if y is None else x + y
-        if c < last and not s.is_zero():
-            h = HALF * s
-            for i, k in ((c, j), (j, c)):
-                gammas[i].setdefault(last, {})[k] = h
-                gammas[i].setdefault(k, {})[last] = -h
-        # (M - M^T)[c][j] enters Gamma_{n-1}, halved off its last row and column
-        d = ZERO if c == j else x if y is None else x - y
-        if not d.is_zero():
-            if c != last:
-                d = HALF * d
-            gammas[last].setdefault(c, {})[j] = d
-            gammas[last].setdefault(j, {})[c] = -d
-    christoffel = tuple(_of(n, n, rows) for rows in gammas)
-    nabla = tuple(ginv @ gamma for gamma in christoffel)
+    den, (g, a, h) = _pair_rows(metric, algebra.ad_matrix, ginv)
+    m = _pair_product(g, a)  # A, padded to n x n, shares the row maps of ad(f_n)
+    gammas: list[dict[int, dict[int, tuple[int, int]]]] = [{} for _ in range(n)]
+    for c, row in m.items():
+        for j, x in row.items():
+            y = m.get(j, _EMPTY).get(c)
+            if y is not None and c > j:
+                continue  # read at (j, c): each pair {c, j} is read once
+            # s = 2 S[c][j], which over 2 den^2 is S[c][j]; S[c][j] = S[j][c]
+            # enters Gamma_c and Gamma_j, while S[n-1][j] would enter
+            # Gamma_j only at (n-1, n-1), where it cancels
+            s = x if y is None else (x[0] + y[0], x[1] + y[1])
+            if c < last and (s[0] or s[1]):
+                t = (-s[0], -s[1])
+                for i, k in ((c, j), (j, c)):
+                    gammas[i].setdefault(last, {})[k] = s
+                    gammas[i].setdefault(k, {})[last] = t
+            # (M - M^T)[c][j] enters Gamma_{n-1}, halved off its last row and
+            # column: over 2 den^2, that row is doubled instead
+            d = x if y is None else (x[0] - y[0], x[1] - y[1])
+            if c != j and (d[0] or d[1]):
+                if c == last:
+                    d = (2 * d[0], 2 * d[1])
+                gammas[last].setdefault(c, {})[j] = d
+                gammas[last].setdefault(j, {})[c] = (-d[0], -d[1])
+    lowered, raised = _PairScalars(2 * den * den), _PairScalars(2 * den**3)
+    christoffel = tuple(_pair_matrix(n, rows, lowered) for rows in gammas)
+    nabla = tuple(_pair_matrix(n, _pair_product(h, rows), raised) for rows in gammas)
     return ConnectionTable(algebra, metric, nabla, christoffel)
 
 

@@ -10,7 +10,10 @@ Z[sqrt2] that clears denominators row by row, which keeps intermediate
 entries small on the 35x49 and 35x36 stabilizer systems.  Kernel and
 inverse back-substitute over its kept rows fraction-free, through the same
 exact division.  Rows enter the integer pairs and results leave them
-through the two helpers of ``scalars`` that every integer kernel shares.
+through the two helpers of ``scalars`` that every integer kernel shares;
+``_pair_rows`` and ``_pair_product`` read and multiply row maps as pairs
+for the other kernels that take matrices, ``exterior.gl_action``,
+``exterior.pullback`` and ``geometry.levi_civita``.
 A matrix keeps its inverse once computed.  The signature of a symmetric
 matrix is counted by exact rank-one congruence steps on a copy of its row
 maps.
@@ -21,7 +24,7 @@ from __future__ import annotations
 from operator import index
 from typing import Iterable, Mapping, Sequence
 
-from .scalars import ONE, ZERO, Scalar, _clear_denominators, _pair_scalar, as_scalar
+from .scalars import ONE, ZERO, Scalar, _clear_denominators, _pair_scalar, _PairScalars, as_scalar
 
 _EMPTY: dict = {}
 _set = object.__setattr__
@@ -135,6 +138,8 @@ class Matrix:
 
     def _sum(self, other: "Matrix", negate: bool) -> "Matrix":
         """self + other, or self - other with ``negate``, in one (i, j) -> value dict."""
+        if not isinstance(other, Matrix):
+            return NotImplemented
         self._check_shape(other)
         out = dict(self.items())
         for k, x in other.items():
@@ -160,6 +165,8 @@ class Matrix:
         return self.scale(c)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
+        if not isinstance(other, Matrix):
+            return NotImplemented
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
         b = other._r
@@ -415,6 +422,36 @@ class Echelon:
                 if sa or sb:
                     x[p] = _pair_div((-sa, -sb), r[p])
             yield {c: _pair_scalar(*_pair_mul(v, conj), norm) for c, v in x.items()}
+
+
+def _pair_rows(*ms: Matrix) -> tuple[int, list[dict[int, dict[int, tuple[int, int]]]]]:
+    """(den, [rows, ...]): the row maps of ``ms``, in their order, with each
+    entry (p + q*sqrt2) / den held as the pair (p, q), den the least common
+    denominator of all their entries."""
+    den, pairs = _clear_denominators([x for m in ms for r in m._r.values() for x in r.values()])
+    it = iter(pairs)
+    return den, [{i: {j: next(it) for j in r} for i, r in m._r.items()} for m in ms]
+
+
+def _pair_product(a: Mapping, b: Mapping) -> dict[int, dict[int, tuple[int, int]]]:
+    """The nonzero row maps of the product of two pair matrices, over the
+    product of their denominators, in the order ``Matrix.__matmul__`` makes."""
+    out = {}
+    for i, row in a.items():
+        acc: dict[int, tuple[int, int]] = {}
+        for k, (xa, xb) in row.items():
+            for j, (ya, yb) in b.get(k, _EMPTY).items():
+                s = acc.get(j, (0, 0))
+                acc[j] = (s[0] + xa * ya + 2 * xb * yb, s[1] + xa * yb + xb * ya)
+        acc = {j: v for j, v in acc.items() if v[0] or v[1]}
+        if acc:
+            out[i] = acc
+    return out
+
+
+def _pair_matrix(n: int, rows: Mapping, scalars: _PairScalars) -> Matrix:
+    """The n x n matrix of nonzero pair row maps, its entries made by ``scalars``."""
+    return _of(n, n, {i: {j: scalars[x] for j, x in r.items()} for i, r in rows.items()})
 
 
 def _pair_mul(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:

@@ -144,7 +144,7 @@ class Scalar:
         n = self.a * self.a - 2 * self.b * self.b
         if not n:
             raise ZeroDivisionError("division by zero in Q(sqrt2)")
-        return Scalar(self.a / n, -self.b / n)
+        return _new(self.a / n, -self.b / n if self.b else _ZERO)
 
     def __truediv__(self, other):
         other = _coerce(other)
@@ -323,10 +323,12 @@ def json_scalar(x, what: str) -> Scalar:
 
 # -- Z[sqrt2] integer pairs ----------------------------------------------------
 #
-# The integer kernels (``Echelon``, ``pullback``, ``bilinear_volume_form``,
-# ``ninth_root``) hold scalars as pairs (p, q) of integers over one common
-# denominator den, meaning (p + q*sqrt2) / den.  These two helpers are the
-# only way in and out.
+# The integer kernels (``Echelon``, ``pullback``, ``gl_action``,
+# ``levi_civita``, ``bilinear_volume_form``, ``ninth_root``) hold scalars as
+# pairs (p, q) of integers over one common denominator den, meaning
+# (p + q*sqrt2) / den.  ``_clear_denominators`` is the only way in and
+# ``_pair_scalar`` the only way out; ``_PairScalars`` calls it once for each
+# distinct pair of a result.
 
 
 def _clear_denominators(xs: Collection[Scalar]) -> tuple[int, list[tuple[int, int]]]:
@@ -344,8 +346,22 @@ def _clear_denominators(xs: Collection[Scalar]) -> tuple[int, list[tuple[int, in
 def _pair_scalar(p: int, q: int, den: int) -> Scalar:
     """The scalar (p + q*sqrt2) / den, for integers p, q and den != 0."""
     if den == 1:
-        return Scalar(p, q)
-    return Scalar(Fraction(p, den), Fraction(q, den))
+        return _new(Fraction(p), Fraction(q) if q else _ZERO)
+    return _new(Fraction(p, den), Fraction(q, den) if q else _ZERO)
+
+
+class _PairScalars(dict):
+    """(p, q) -> the scalar (p + q*sqrt2) / den, each built once, on first lookup."""
+
+    __slots__ = ("den",)
+
+    def __init__(self, den: int):
+        super().__init__()
+        self.den = den
+
+    def __missing__(self, pq: tuple[int, int]) -> Scalar:
+        s = self[pq] = _pair_scalar(pq[0], pq[1], self.den)
+        return s
 
 
 ZERO = Scalar(0)

@@ -56,8 +56,8 @@ def random_form(rng, dim, degree, terms=3, span=3, sqrt2=False):
     return KForm(dim, degree, {t: random_scalar(rng, span, sqrt2) for t in chosen})
 
 
-def random_algebra(rng, n=7, span=2):
-    return AlmostAbelianAlgebra(n, random_matrix(rng, n - 1, span=span))
+def random_algebra(rng, n=7, span=2, sqrt2=False):
+    return AlmostAbelianAlgebra(n, random_matrix(rng, n - 1, span=span, sqrt2=sqrt2))
 
 
 # The witness points (delta, B, v, w) of the nilpotent degenerate sweep.

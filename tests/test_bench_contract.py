@@ -31,10 +31,10 @@ import workloads  # noqa: E402
 ITEMS = 18  # one cycle of the report workload, three of decide
 # Scalar add + sub + mul calls of pipeline_report over the witness points
 # of the sweep, with the certify cache and the metric's inverse warm
-SWEEP_WITNESS_SCALAR_OPS = 463
+SWEEP_WITNESS_SCALAR_OPS = 125
 # Matrix objects (``linalg._of`` calls) that pipeline_report builds over the
 # witness points of the sweep, with the same caches warm
-SWEEP_WITNESS_MATRICES = 390
+SWEEP_WITNESS_MATRICES = 370
 # Calls of the checking constructors Scalar.__init__ and KForm.__init__ that
 # pipeline_report makes over the same points with the same caches warm:
 # arithmetic and the exterior kernels build through scalars._new and
@@ -42,7 +42,7 @@ SWEEP_WITNESS_MATRICES = 390
 SWEEP_WITNESS_CHECKED_BUILDS = 0
 # Scalar add + sub + mul calls of one cycle of items (0..17 at seed 7),
 # after one warm pass over the same items
-CYCLE_SCALAR_OPS = {"decide": 2634, "report": 20466}
+CYCLE_SCALAR_OPS = {"decide": 2238, "report": 17212}
 
 
 def scalar_ops(run) -> dict:

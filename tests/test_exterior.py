@@ -118,9 +118,9 @@ def test_gl_action_is_lie_action():
     rng = random.Random(23)
     for _ in range(40):
         n = rng.randint(3, 5)
-        a = random_matrix(rng, n)
-        b = random_matrix(rng, n)
-        f = random_form(rng, n, rng.randint(1, 3))
+        a = random_matrix(rng, n, sqrt2=True)
+        b = random_matrix(rng, n, sqrt2=True)
+        f = random_form(rng, n, rng.randint(1, 3), sqrt2=True)
         lhs = gl_action(a.commutator(b), f)
         rhs = gl_action(a, gl_action(b, f)) - gl_action(b, gl_action(a, f))
         assert lhs == rhs

@@ -113,9 +113,13 @@ def _dense_cases(count):
 def _sparse_cases():
     """(algebra, metric) pairs on which M = g A is sparse: the Witt metric
     at the sweep witnesses, then an M with diagonal entries, an M with both
-    M[c][j] and M[j][c] nonzero, and an M with entries in its last row."""
+    M[c][j] and M[j][c] nonzero, and an M with entries in its last row, once
+    on an integer metric and once on a fractional one with a sqrt2 entry."""
     tied = Matrix.sparse(7, 7, {**{(k, k): 1 for k in range(5)}, (5, 5): -1,
                                 (6, 6): 2, (0, 6): 1, (6, 0): 1})
+    third = Fraction(1, 3)
+    fractional = Matrix.sparse(7, 7, {**{(k, k): HALF for k in range(5)}, (5, 5): -third,
+                                      (6, 6): SQRT2, (1, 6): third, (6, 1): third})
     return sweep_witness_pairs() + [
         (AlmostAbelianAlgebra(7, Matrix.diagonal([1, -2, 0, 3, 0, HALF])),
          Matrix.diagonal([1, -1, 2, 1, 1, -1, 1])),
@@ -124,19 +128,23 @@ def _sparse_cases():
          Matrix.identity(7)),
         (AlmostAbelianAlgebra(7, Matrix.sparse(6, 6, {(0, 0): 2, (0, 1): 1, (2, 3): -1})),
          tied),
+        (AlmostAbelianAlgebra(7, Matrix.sparse(6, 6, {(1, 0): third, (1, 2): SQRT2,
+                                                      (4, 1): -HALF})),
+         fractional),
     ]
 
 
 def test_levi_civita_equals_dense_koszul():
     sparse = _sparse_cases()
-    corners = [sparse[-3], sparse[-2], sparse[-1]]
+    corners = sparse[-4:]
     # each corner case has what its description says: M = g A with a
     # nonzero diagonal, with M[c][j] and M[j][c] both nonzero, with a
-    # nonzero last row
+    # nonzero last row, on an integer metric and on a fractional one
     ms = [g @ Matrix.sparse(7, 7, dict(alg.ad_matrix.items())) for alg, g in corners]
     assert any(ms[0][k, k] for k in range(6))
     assert any(ms[1][c, j] and ms[1][j, c] for c in range(6) for j in range(c + 1, 6))
-    assert any(True for _ in ms[2].row_items(6))
+    assert all(any(True for _ in m.row_items(6)) for m in ms[2:])
+    assert any(x.a.denominator > 1 for _, x in corners[3][1].items())
     for alg, g in list(_dense_cases(24)) + sparse:
         conn = levi_civita(alg, g)
         want = oracle_levi_civita(alg, g)

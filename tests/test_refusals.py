@@ -13,14 +13,14 @@ from g2aa.classify import (NilpotentParallelParams, _verified_instance, is_paral
                            nilpotent_witnesses, shape_24, sweep_parameter_grid, table1_diff)
 from g2aa.cli import EXIT_MISMATCH, _example_a_algebra, main
 from g2aa.exterior import (DegenerateMetricError, DimensionMismatchError, KForm, hodge_star,
-                           interior)
+                           interior, wedge)
 from g2aa.g2 import (bilinear_volume_form, certify_g2, hyperplane_model_type, phi_model,
                      stabilizer_algebra, structure_map, witt_phi)
 from g2aa.geometry import levi_civita
 from g2aa.liealg import (AlmostAbelianAlgebra, SegrePartition, catalog_entry_for_partition,
                          differential, identify_nilpotent, segre_partition)
 from g2aa.linalg import Matrix
-from g2aa.scalars import (HALF, HALF_SQRT2, SQRT2, DomainError, Scalar, as_scalar, json_list,
+from g2aa.scalars import (HALF, HALF_SQRT2, ONE, SQRT2, DomainError, Scalar, as_scalar, json_list,
                           json_object)
 
 M23 = Matrix([[1, 2, 3], [4, 5, 6]])
@@ -56,6 +56,10 @@ REFUSALS = [
     ("Matrix.sparse of a negative size", lambda: Matrix.sparse(-1, 2, {}), ValueError),
     ("Matrix.diagonal of no values", lambda: Matrix.diagonal([]), ValueError),
     ("@ shape mismatch", lambda: M23 @ M23, ValueError),
+    ("Matrix @ int", lambda: M22 @ 3, TypeError),
+    ("Matrix + int", lambda: M22 + 1, TypeError),
+    ("Matrix - Scalar", lambda: M22 - ONE, TypeError),
+    ("commutator with an int", lambda: M22.commutator(3), TypeError),
     ("+ shape mismatch", lambda: M23 + M23.transpose(), ValueError),
     ("apply length", lambda: M23.apply([1, 2]), ValueError),
     ("trace of a non-square matrix", lambda: M23.trace(), ValueError),
@@ -86,6 +90,11 @@ REFUSALS = [
     ("coefficient at a float index", lambda: E12.coefficient(1.0, 2), TypeError),
     ("KForm + across degrees", lambda: KForm.basis(3, 1) + KForm.basis(3, 1, 2),
      DimensionMismatchError),
+    ("KForm + int", lambda: E12 + 1, TypeError),
+    ("KForm - int", lambda: KForm.basis(3, 1) - 1, TypeError),
+    ("wedge with an int", lambda: wedge(KForm.basis(3, 1), 1), TypeError),
+    ("hodge_star orientation of a Scalar", lambda: hodge_star(phi_model(1), I7, ONE),
+     TypeError),
     ("interior vector length", lambda: interior([1, 0], KForm.basis(3, 1)),
      DimensionMismatchError),
     ("hodge_star metric size", lambda: hodge_star(phi_model(1), Matrix.identity(6), VOL7),

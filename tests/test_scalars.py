@@ -7,7 +7,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from g2aa.scalars import HALF_SQRT2, ONE, SQRT2, ZERO, DomainError, Scalar, as_scalar
+from g2aa.scalars import (HALF_SQRT2, ONE, SQRT2, ZERO, DomainError, Scalar, _clear_denominators,
+                          _pair_scalar, as_scalar)
 
 
 def test_basic_arithmetic():
@@ -159,11 +160,20 @@ elements = st.builds(Scalar, parts, parts)
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(x=elements, y=elements)
 def test_arithmetic_results_equal_the_checked_constructor(x, y):
-    # +, -, * and unary - build their results unchecked; each must be the
-    # scalar that Scalar() would build from its parts, with the same hash
+    # +, -, *, unary -, inverse and the exit from integer pairs build their
+    # results unchecked; each must be the scalar that Scalar() would build
+    # from its parts, with the same hash
     cases = [(x + y, x.a + y.a, x.b + y.b), (x - y, x.a - y.a, x.b - y.b),
              (x * y, x.a * y.a + 2 * x.b * y.b, x.a * y.b + x.b * y.a), (-x, -x.a, -x.b),
              (1 - x, 1 - x.a, -x.b), (x + 2, x.a + 2, x.b), (3 * x, 3 * x.a, 3 * x.b)]
+    if x:
+        n = x.a * x.a - 2 * x.b * x.b
+        cases.append((x.inverse(), x.a / n, -x.b / n))
+    den, pairs = _clear_denominators([x, y])
+    for p, q in pairs:
+        cases += [(_pair_scalar(p, q, den), Fraction(p, den), Fraction(q, den)),
+                  (_pair_scalar(p, q, 1), p, q), (_pair_scalar(p, q, -den), Fraction(-p, den),
+                                                  Fraction(-q, den))]
     for r, a, b in cases:
         assert type(r.a) is Fraction and type(r.b) is Fraction
         assert (r.a, r.b) == (a, b)
