@@ -8,10 +8,11 @@ notation, so ``KForm.basis(7, 1, 2, 7)`` is e^127 on R^7.
 ``pullback`` is the one kernel for changes of basis: the Hodge star is the
 pullback along g^{-1} followed by complementing indices, and the form a
 subspace inherits is the pullback along the matrix of its basis vectors.
-``pullback`` and ``gl_action``, which also serves ``liealg.differential``,
-run in Z[sqrt2] integer pairs over one common denominator, like the
-elimination engine of ``linalg``, and build each distinct result
-``Scalar`` once.
+``pullback`` and ``gl_action``, whose pair loop ``_pair_action`` also
+serves ``liealg.differential``, run in Z[sqrt2] integer pairs over common
+denominators, like the elimination engine of ``linalg``, and build each
+distinct result ``Scalar`` once.  A form keeps its pair image and its hash
+once computed, as a matrix keeps its pair image.
 
 ``KForm(...)`` and ``KForm.build`` check every term they are given; the
 kernels ``gl_action``, ``pullback``, ``hodge_star`` and ``liealg.differential``
@@ -69,7 +70,9 @@ def _check_index(tup: tuple, degree: int, dim: int):
 class KForm:
     """Alternating k-form on an n-dimensional space."""
 
-    __slots__ = ("dim", "degree", "_t")
+    # _pairs, set by the first _pair_terms, is the Z[sqrt2] pair image, and
+    # _hash the hash, each kept once computed
+    __slots__ = ("dim", "degree", "_t", "_pairs", "_hash")
 
     def __init__(self, dim: int, degree: int, terms: Mapping | None = None):
         if degree < 0 or (degree > dim and terms):
@@ -174,7 +177,11 @@ class KForm:
         return (self.dim, self.degree, self._t) == (other.dim, other.degree, other._t)
 
     def __hash__(self):
-        return hash((self.dim, self.degree, tuple(sorted(self._t.items()))))
+        h = getattr(self, "_hash", None)
+        if h is None:
+            h = hash((self.dim, self.degree, tuple(sorted(self._t.items()))))
+            object.__setattr__(self, "_hash", h)
+        return h
 
     def __str__(self):
         if not self._t:
@@ -276,18 +283,26 @@ def gl_action(m: Matrix, a: KForm) -> KForm:
     """
     if m.rows != a.dim or m.cols != a.dim:
         raise DimensionMismatchError("endomorphism size must match form dimension")
-    den_m, (rows,) = _pair_rows(m)
     den_a, terms = _pair_terms(a)
+    den_m, acc = _pair_action(m, terms)
+    return _pair_form(a.dim, a.degree, acc, den_a * den_m)
+
+
+def _pair_action(m: Matrix, terms: Mapping) -> tuple[int, dict[tuple[int, ...], tuple[int, int]]]:
+    """(den_m, acted): the terms of ``gl_action`` of the square matrix m on
+    a form of dimension m.rows with pair ``terms``, over den_m times their
+    denominator, den_m the denominator of m's pairs."""
+    den_m, rows = _pair_rows(m)
     acc: dict[tuple[int, ...], tuple[int, int]] = {}
     for idx, (ca, cb) in terms.items():
-        for ip, moved in zip(idx, _moves(a.dim, idx)):
+        for ip, moved in zip(idx, _moves(m.rows, idx)):
             for j, (xa, xb) in rows.get(ip - 1, _EMPTY).items():
                 tup, sg = moved[j]
                 if sg:
                     ta, tb = xa * ca + 2 * xb * cb, xa * cb + xb * ca
                     s = acc.get(tup, (0, 0))
                     acc[tup] = (s[0] - ta, s[1] - tb) if sg > 0 else (s[0] + ta, s[1] + tb)
-    return _pair_form(a.dim, a.degree, acc, den_a * den_m)
+    return den_m, acc
 
 
 def pullback(m: Matrix, a: KForm) -> KForm:
@@ -303,7 +318,7 @@ def pullback(m: Matrix, a: KForm) -> KForm:
     """
     if m.rows != a.dim:
         raise DimensionMismatchError("matrix rows must match form dimension")
-    den_m, (rows,) = _pair_rows(m)
+    den_m, rows = _pair_rows(m)
     support = [[(j + 1, xa, xb) for j, (xa, xb) in rows.get(i, _EMPTY).items()]
                for i in range(m.rows)]
     den_a, terms = _pair_terms(a)
@@ -325,9 +340,14 @@ def pullback(m: Matrix, a: KForm) -> KForm:
 
 def _pair_terms(a: KForm) -> tuple[int, dict[tuple[int, ...], tuple[int, int]]]:
     """(den, {index tuple: (p, q)}): each coefficient of ``a`` as the pair
-    (p, q) of (p + q*sqrt2) / den, den their least common denominator."""
-    den, pairs = _clear_denominators(a._t.values())
-    return den, dict(zip(a._t, pairs))
+    (p, q) of (p + q*sqrt2) / den, den their least common denominator.
+    Cleared once and kept on the form, which the caller must not change."""
+    pairs = getattr(a, "_pairs", None)
+    if pairs is None:
+        den, flat = _clear_denominators(a._t.values())
+        pairs = den, dict(zip(a._t, flat))
+        object.__setattr__(a, "_pairs", pairs)
+    return pairs
 
 
 def _pair_form(dim: int, degree: int, acc: dict, den: int) -> KForm:

@@ -16,7 +16,12 @@ built from the nonzero brackets [f_n, f_j] = A f_j only (see ``levi_civita``
 and ``curvature``).  The metric is inverted by ``exterior._metric_inverse``,
 as in the Hodge star, and ``Matrix.inverse`` keeps the inverse on it.
 ``levi_civita`` is an integer kernel, like ``exterior.pullback``: it runs
-in Z[sqrt2] integer pairs over one common denominator of g, A and g^{-1}.
+in Z[sqrt2] integer pairs on the pair images that g, A and g^{-1} keep,
+each over its own denominator, and needs two products for all of nabla,
+since Gamma_z is rank two for z < n-1.  It keeps the pair rows of Gamma and
+nabla on the connection, and ``curvature`` forms every lowered R(f_i, f_j)
+from them over one denominator.  ``_raise``, Ricci, the holonomy closure
+and the nabla R test run on ``Scalar``s.
 
 Lowered coordinates.  The connection keeps the Christoffel matrices
 Gamma_z = g nabla_z, which are skew, and for z < n-1 nonzero only in the
@@ -36,9 +41,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .exterior import KForm, _metric_inverse, gl_action
+from .exterior import DimensionMismatchError, KForm, _metric_inverse, gl_action
 from .liealg import AlmostAbelianAlgebra
-from .linalg import _EMPTY, Echelon, Matrix, _pair_matrix, _pair_product, _pair_rows
+from .linalg import (_EMPTY, Echelon, Matrix, _pair_matrix, _pair_mul, _pair_product,
+                     _pair_rows)
 from .scalars import ZERO, Scalar, _PairScalars
 
 
@@ -52,6 +58,8 @@ class ConnectionTable:
     metric: Matrix
     nabla: tuple[Matrix, ...]
     christoffel: tuple[Matrix, ...] = field(compare=False, repr=False)
+    # (dl, Gamma row maps over dl, dn, nabla row maps over dn) in Z[sqrt2] pairs
+    _pairs: tuple = field(compare=False, repr=False)
 
 
 @dataclass
@@ -72,11 +80,18 @@ class CurvatureReport:
 
     def r_of(self, i: int, j: int) -> Matrix:
         """R(f_i, f_j) for arbitrary 0-based index order."""
+        _check_indices(self.ricci.rows, i, j)
         if i == j:
             return Matrix.zero(self.ricci.rows)
         if i < j:
             return self.r[(i, j)]
         return -self.r[(j, i)]
+
+
+def _check_indices(n: int, *indices: int):
+    """Refuse a basis index outside 0..n-1, as ``bracket`` refuses one outside 1..n."""
+    if not all(0 <= k < n for k in indices):
+        raise IndexError(f"indices {indices} outside 0..{n - 1}")
 
 
 def levi_civita(algebra: AlmostAbelianAlgebra, metric: Matrix) -> ConnectionTable:
@@ -88,51 +103,76 @@ def levi_civita(algebra: AlmostAbelianAlgebra, metric: Matrix) -> ConnectionTabl
     [f_n, f_j] = -[f_j, f_n] = A f_j for j < n, and the Koszul formula
     gives the Christoffel matrices Gamma_i = g nabla_i directly:
 
-    * for i < n-1, Gamma_i = e_n s_i^T - s_i e_n^T, with s_i row i of the
-      symmetric part S = (M + M^T) / 2;
+    * for i < n-1, Gamma_i = e s_i^T - s_i e^T, with e = e_n and s_i row i
+      of the symmetric part S = (M + M^T) / 2 off its last row and column;
     * Gamma_{n-1} has (k, j) entry (M[k][j] - M[j][k]) / 2 for k, j < n-1,
       M[n-1][j] at (n-1, j) and -M[n-1][j] at (j, n-1).
 
     Each pair {c, j} of the support of M is read once, so every entry of S
-    and of M - M^T is formed once.  Then nabla_i = g^{-1} Gamma_i.  The
-    products run in Z[sqrt2] integer pairs: g, A and g^{-1} over one common
-    denominator den, so M is over den^2, every Gamma_i over 2 den^2 and
-    every nabla_i over 2 den^3, and each distinct entry of the Gamma_i and
-    of the nabla_i becomes a ``Scalar`` once."""
+    and of M - M^T is formed once.  Then nabla_i = g^{-1} Gamma_i, which for
+    i < n-1 is (g^{-1} e) s_i^T - (g^{-1} s_i) e^T: column n of g^{-1} and
+    column i of g^{-1} S.  So two products, g^{-1} S and g^{-1} Gamma_{n-1},
+    give every nabla_i.  The symmetry of g is checked before it is inverted.
+
+    The products run in Z[sqrt2] integer pairs, each matrix over its own
+    denominator as ``_pair_rows`` keeps it: g over dg, A over da and g^{-1}
+    over dh, so M is over dg da, every Gamma_i over 2 dg da and every nabla_i
+    over 2 dg da dh.  Each distinct entry becomes a ``Scalar`` once, and the
+    pair rows stay on the connection for ``curvature``."""
     n = algebra.n
-    ginv = _metric_inverse(metric, n)
-    if not metric.is_symmetric():
-        raise ValueError("metric must be symmetric")
     last = n - 1
-    den, (g, a, h) = _pair_rows(metric, algebra.ad_matrix, ginv)
+    dg, g = _pair_rows(metric)
+    if any(x != g.get(j, _EMPTY).get(i) for i, row in g.items() for j, x in row.items()):
+        raise ValueError("metric must be symmetric")
+    dh, h = _pair_rows(_metric_inverse(metric, n))
+    da, a = _pair_rows(algebra.ad_matrix)
     m = _pair_product(g, a)  # A, padded to n x n, shares the row maps of ad(f_n)
-    gammas: list[dict[int, dict[int, tuple[int, int]]]] = [{} for _ in range(n)]
+    sym: dict[int, dict[int, tuple[int, int]]] = {}  # S off its last row and column
+    skew: dict[int, dict[int, tuple[int, int]]] = {}  # Gamma_{n-1}
     for c, row in m.items():
         for j, x in row.items():
             y = m.get(j, _EMPTY).get(c)
             if y is not None and c > j:
                 continue  # read at (j, c): each pair {c, j} is read once
-            # s = 2 S[c][j], which over 2 den^2 is S[c][j]; S[c][j] = S[j][c]
-            # enters Gamma_c and Gamma_j, while S[n-1][j] would enter
-            # Gamma_j only at (n-1, n-1), where it cancels
+            # s = 2 S[c][j], which over 2 dg da is S[c][j]; S[n-1][j] would
+            # enter Gamma_j only at (n-1, n-1), where it cancels
             s = x if y is None else (x[0] + y[0], x[1] + y[1])
             if c < last and (s[0] or s[1]):
-                t = (-s[0], -s[1])
-                for i, k in ((c, j), (j, c)):
-                    gammas[i].setdefault(last, {})[k] = s
-                    gammas[i].setdefault(k, {})[last] = t
+                sym.setdefault(c, {})[j] = sym.setdefault(j, {})[c] = s
             # (M - M^T)[c][j] enters Gamma_{n-1}, halved off its last row and
-            # column: over 2 den^2, that row is doubled instead
+            # column: over 2 dg da, that row is doubled instead
             d = x if y is None else (x[0] - y[0], x[1] - y[1])
             if c != j and (d[0] or d[1]):
                 if c == last:
                     d = (2 * d[0], 2 * d[1])
-                gammas[last].setdefault(c, {})[j] = d
-                gammas[last].setdefault(j, {})[c] = (-d[0], -d[1])
-    lowered, raised = _PairScalars(2 * den * den), _PairScalars(2 * den**3)
+                skew.setdefault(c, {})[j] = d
+                skew.setdefault(j, {})[c] = (-d[0], -d[1])
+    hs = _pair_product(h, sym)  # column i is g^{-1} s_i
+    gammas: list[dict[int, dict[int, tuple[int, int]]]] = []
+    nablas: list[dict[int, dict[int, tuple[int, int]]]] = []
+    for i in range(last):
+        s = sym.get(i)
+        gamma: dict[int, dict[int, tuple[int, int]]] = {}
+        nab: dict[int, dict[int, tuple[int, int]]] = {}
+        if s is not None:
+            gamma = {last: s, **{k: {last: (-x[0], -x[1])} for k, x in s.items()}}
+            for r, row in h.items():
+                out = {c: _pair_mul(row[last], x) for c, x in s.items()} if last in row else {}
+                t = hs.get(r, _EMPTY).get(i)
+                if t is not None:
+                    out[last] = (-t[0], -t[1])
+                if out:
+                    nab[r] = out
+        gammas.append(gamma)
+        nablas.append(nab)
+    gammas.append(skew)
+    nablas.append(_pair_product(h, skew))
+    dl, dn = 2 * dg * da, 2 * dg * da * dh
+    raised = _PairScalars(dn)
+    lowered = raised if dh == 1 else _PairScalars(dl)
     christoffel = tuple(_pair_matrix(n, rows, lowered) for rows in gammas)
-    nabla = tuple(_pair_matrix(n, _pair_product(h, rows), raised) for rows in gammas)
-    return ConnectionTable(algebra, metric, nabla, christoffel)
+    nabla = tuple(_pair_matrix(n, rows, raised) for rows in nablas)
+    return ConnectionTable(algebra, metric, nabla, christoffel, (dl, gammas, dn, nablas))
 
 
 def _lowered_product(a: Matrix, b: Matrix) -> dict[int, Scalar]:
@@ -154,6 +194,21 @@ def _lowered_product(a: Matrix, b: Matrix) -> dict[int, Scalar]:
                     key = j * n + i
                     v = out.get(key)
                     out[key] = -(x * y) if v is None else v - x * y
+    return out
+
+
+def _pair_lowered_product(a: dict, b: dict, n: int) -> dict[int, tuple[int, int]]:
+    """``_lowered_product`` of the pair row maps a and b of n x n matrices,
+    over the product of their denominators."""
+    out: dict[int, tuple[int, int]] = {}
+    for i, row in a.items():
+        for k, (xa, xb) in row.items():
+            for j, (ya, yb) in b.get(k, _EMPTY).items():
+                if i != j:
+                    ta, tb = xa * ya + 2 * xb * yb, xa * yb + xb * ya
+                    key = i * n + j if i < j else j * n + i
+                    s = out.get(key, (0, 0))
+                    out[key] = (s[0] + ta, s[1] + tb) if i < j else (s[0] - ta, s[1] - tb)
     return out
 
 
@@ -180,28 +235,41 @@ def curvature(conn: ConnectionTable) -> CurvatureReport:
 
     g R(f_i, f_j) = Gamma_i nabla_j - Gamma_j nabla_i - g nabla_{[f_i, f_j]},
     and Gamma_j nabla_i = (Gamma_i nabla_j)^T (both Gamma are skew and
-    nabla = g^{-1} Gamma), so _lowered_product(Gamma_i, nabla_j) gives the
-    lowered coordinates.  The only nonzero brackets are [f_i, f_n] = -A f_i,
-    so the bracket term adds A[k][i] Gamma_k to the pairs (i, n-1) only, for
-    the nonzero entries of column i of A.  Each nonzero R is raised once
-    with the inverse metric; every zero R is one shared zero matrix."""
+    nabla = g^{-1} Gamma), so the fused product of Gamma_i and nabla_j gives
+    the lowered coordinates.  The only nonzero brackets are
+    [f_i, f_n] = -A f_i, so the bracket term adds A[k][i] Gamma_k to the
+    pairs (i, n-1) only, for the nonzero entries of column i of A.  Both run
+    in Z[sqrt2] integer pairs, on the rows ``levi_civita`` keeps: Gamma over
+    dl and nabla over dn = dl dh, A over da, which divides dn, so every
+    lowered R is over dl dn and each distinct entry becomes a ``Scalar``
+    once.  Each nonzero R is raised once with the inverse metric; every
+    zero R is one shared zero matrix."""
     algebra = conn.algebra
     n = algebra.n
     last = n - 1
-    nabla = conn.nabla
-    upper_gamma = [{a * n + b: x for (a, b), x in m.items() if a < b}
-                   for m in conn.christoffel]
-    columns = algebra.ad_matrix.transpose()  # row i is column i of A
+    dl, gammas, dn, nablas = conn._pairs
+    da, a = _pair_rows(algebra.ad_matrix)
+    f = dn // da  # A[k][i] Gamma_k over da dl, brought to dl dn
+    upper = [{p * n + q: x for p, row in rows.items() for q, x in row.items() if p < q}
+             for rows in gammas]
+    columns: dict[int, list] = {}  # column i of A as [(k, A[k][i]), ...]
+    for k, row in a.items():
+        for i, x in row.items():
+            columns.setdefault(i, []).append((k, x))
+    scalars = _PairScalars(dl * dn)
     zero = Matrix.zero(n)
     r: dict[tuple[int, int], Matrix] = {}
     lowered: dict[tuple[int, int], dict[int, Scalar]] = {}
     for i in range(n):
         for j in range(i + 1, n):
-            u = _lowered_product(conn.christoffel[i], nabla[j])
+            u = _pair_lowered_product(gammas[i], nablas[j], n) if gammas[i] and nablas[j] else {}
             if j == last:
-                for k, c in columns.row_items(i):
-                    _sub_scaled(u, -c, upper_gamma[k])
-            u = {k: x for k, x in u.items() if not x.is_zero()}
+                for k, (ca, cb) in columns.get(i, ()):
+                    ca, cb = f * ca, f * cb
+                    for key, (xa, xb) in upper[k].items():
+                        s = u.get(key, (0, 0))
+                        u[key] = (s[0] + ca * xa + 2 * cb * xb, s[1] + ca * xb + cb * xa)
+            u = {k: scalars[x] for k, x in u.items() if x[0] or x[1]}
             lowered[(i, j)] = u
             r[(i, j)] = _raise(conn, u) if u else zero
     # Ric(f_i, f_j) = sum_k R(f_k, f_i)[k, j]: R(f_a, f_b) enters row b
@@ -270,6 +338,7 @@ def _curved_triples(conn: ConnectionTable, report: CurvatureReport) -> list:
 def nabla_r_full(conn: ConnectionTable, report: CurvatureReport,
                  z: int, x: int, y: int) -> Matrix:
     """Full tensor derivative (nabla_z R)(f_x, f_y)."""
+    _check_indices(conn.algebra.n, z, x, y)
     return _raise(conn, next(_nabla_r(conn, report, [(z, x, y)]))[1])
 
 
@@ -326,7 +395,10 @@ def annihilates(phi: KForm, endos: list[Matrix]) -> bool:
 
 
 def analyze(algebra: AlmostAbelianAlgebra, phi: KForm, metric: Matrix) -> CurvatureReport:
-    """Full curvature report for a structure with an exact metric."""
+    """Full curvature report for a structure with an exact metric; a form
+    on another dimension than the algebra's is refused."""
+    if phi.dim != algebra.n:
+        raise DimensionMismatchError(f"form on {phi.dim} dimensions, algebra on {algebra.n}")
     conn = levi_civita(algebra, metric)
     report = curvature(conn)
     report.hol_basis = holonomy_algebra(conn, report)

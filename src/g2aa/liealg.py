@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .exterior import KForm, _form, gl_action
+from .exterior import KForm, _pair_action, _pair_form, _pair_terms, gl_action
 from .linalg import Matrix
 from .scalars import ZERO, Scalar, json_int, json_list, json_object, json_scalar
 
@@ -69,14 +69,18 @@ def differential(algebra: AlmostAbelianAlgebra, a: KForm) -> KForm:
     With a = rho + sigma ^ f^n, rho and sigma forms on u, the sigma part is
     closed and da = f^n ^ (ad.rho), ad = ad(f_n)|_u acting on rho as a form
     on u; f^n ^ e^I = (-1)^|I| e^{In} appends the index n with sign (-1)^k.
+    It runs the pair loop of ``gl_action`` on the pairs that ``a`` and ad
+    keep, so a form or an ad-matrix that several checks share is cleared once.
     """
     n = algebra.n
     if a.dim != n:
         raise ValueError(f"form must live on the {n}-dimensional algebra")
-    rho = _form(n - 1, a.degree, ((idx, c) for idx, c in a.items() if n not in idx))
-    odd = a.degree % 2
-    return _form(n, a.degree + 1, ((idx + (n,), -c if odd else c)
-                                   for idx, c in gl_action(algebra.ad_matrix, rho).items()))
+    den_a, terms = _pair_terms(a)
+    rho = {idx: x for idx, x in terms.items() if n not in idx}
+    den_m, acc = _pair_action(algebra.ad_matrix, rho)
+    sg = -1 if a.degree % 2 else 1
+    return _pair_form(n, a.degree + 1,
+                      {idx + (n,): (sg * p, sg * q) for idx, (p, q) in acc.items()}, den_a * den_m)
 
 
 def is_stabilized(algebra: AlmostAbelianAlgebra, a: KForm) -> bool:

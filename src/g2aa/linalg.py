@@ -13,10 +13,11 @@ exact division.  Rows enter the integer pairs and results leave them
 through the two helpers of ``scalars`` that every integer kernel shares;
 ``_pair_rows`` and ``_pair_product`` read and multiply row maps as pairs
 for the other kernels that take matrices, ``exterior.gl_action``,
-``exterior.pullback`` and ``geometry.levi_civita``.
-A matrix keeps its inverse once computed.  The signature of a symmetric
-matrix is counted by exact rank-one congruence steps on a copy of its row
-maps.
+``exterior.pullback``, ``geometry.levi_civita`` and ``geometry.curvature``.
+A matrix keeps its inverse and its pair image once computed, so a metric or
+an ad-matrix that many calls share is inverted and cleared once.  The
+signature of a symmetric matrix is counted by exact rank-one congruence
+steps on a copy of its row maps.
 """
 
 from __future__ import annotations
@@ -52,8 +53,9 @@ def _of(rows: int, cols: int, entries: dict) -> "Matrix":
 class Matrix:
     """Immutable sparse matrix over Q(sqrt2)."""
 
-    # _inv, set by the first successful inverse(), memoizes it
-    __slots__ = ("rows", "cols", "_r", "_inv")
+    # _inv, set by the first successful inverse(), memoizes it, and _pairs,
+    # set by the first _pair_rows, the Z[sqrt2] pair image
+    __slots__ = ("rows", "cols", "_r", "_inv", "_pairs")
 
     def __init__(self, entries: Sequence[Sequence]):
         if not entries or not entries[0]:
@@ -424,13 +426,18 @@ class Echelon:
             yield {c: _pair_scalar(*_pair_mul(v, conj), norm) for c, v in x.items()}
 
 
-def _pair_rows(*ms: Matrix) -> tuple[int, list[dict[int, dict[int, tuple[int, int]]]]]:
-    """(den, [rows, ...]): the row maps of ``ms``, in their order, with each
-    entry (p + q*sqrt2) / den held as the pair (p, q), den the least common
-    denominator of all their entries."""
-    den, pairs = _clear_denominators([x for m in ms for r in m._r.values() for x in r.values()])
-    it = iter(pairs)
-    return den, [{i: {j: next(it) for j in r} for i, r in m._r.items()} for m in ms]
+def _pair_rows(m: Matrix) -> tuple[int, dict[int, dict[int, tuple[int, int]]]]:
+    """(den, rows): the row maps of ``m`` with each entry (p + q*sqrt2) / den
+    held as the pair (p, q), den the least common denominator of its
+    entries.  Cleared once and kept on the matrix, which is immutable, so
+    the caller must not change what it reads."""
+    pairs = getattr(m, "_pairs", None)
+    if pairs is None:
+        den, flat = _clear_denominators([x for r in m._r.values() for x in r.values()])
+        it = iter(flat)
+        pairs = den, {i: {j: next(it) for j in r} for i, r in m._r.items()}
+        _set(m, "_pairs", pairs)
+    return pairs
 
 
 def _pair_product(a: Mapping, b: Mapping) -> dict[int, dict[int, tuple[int, int]]]:

@@ -324,11 +324,12 @@ def json_scalar(x, what: str) -> Scalar:
 # -- Z[sqrt2] integer pairs ----------------------------------------------------
 #
 # The integer kernels (``Echelon``, ``pullback``, ``gl_action``,
-# ``levi_civita``, ``bilinear_volume_form``, ``ninth_root``) hold scalars as
-# pairs (p, q) of integers over one common denominator den, meaning
-# (p + q*sqrt2) / den.  ``_clear_denominators`` is the only way in and
-# ``_pair_scalar`` the only way out; ``_PairScalars`` calls it once for each
-# distinct pair of a result.
+# ``levi_civita``, ``curvature``, ``bilinear_volume_form``, ``ninth_root``)
+# hold scalars as pairs (p, q) of integers over a common denominator den,
+# meaning (p + q*sqrt2) / den.  ``_clear_denominators`` is the only way in,
+# and a ``Matrix`` or ``KForm`` keeps what it gives; ``_pair_scalar`` is the
+# only way out, and ``_PairScalars`` calls it once for each distinct pair of
+# a result.
 
 
 def _clear_denominators(xs: Collection[Scalar]) -> tuple[int, list[tuple[int, int]]]:

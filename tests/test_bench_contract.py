@@ -6,10 +6,10 @@ function of ``spans.TRACED`` is wrapped and restored.  A change that
 breaks a name, a tap or an oracle of the benchmark fails here.  Counts of
 the Scalar operations that the sweep spends on its witness points, and that
 decide and report spend on one cycle of items, guard their per-item work;
-counts of the matrices that the sweep builds on its witness points, and of
-the scalars and forms it builds through their checking constructors, guard
-against intermediates and checks coming back.  Nothing in perfbench/ is
-changed.
+counts of the matrices that the sweep builds on its witness points, of
+the scalars and forms it builds through their checking constructors, and of
+the denominators it clears, guard against intermediates, checks and
+re-clearing coming back.  Nothing in perfbench/ is changed.
 """
 
 import sys
@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from g2aa import linalg
+from g2aa import linalg, scalars
 from g2aa.classify import pipeline_report
 from g2aa.exterior import KForm
 from g2aa.g2 import witt_phi
@@ -31,18 +31,23 @@ import workloads  # noqa: E402
 ITEMS = 18  # one cycle of the report workload, three of decide
 # Scalar add + sub + mul calls of pipeline_report over the witness points
 # of the sweep, with the certify cache and the metric's inverse warm
-SWEEP_WITNESS_SCALAR_OPS = 125
+SWEEP_WITNESS_SCALAR_OPS = 110
 # Matrix objects (``linalg._of`` calls) that pipeline_report builds over the
 # witness points of the sweep, with the same caches warm
-SWEEP_WITNESS_MATRICES = 370
+SWEEP_WITNESS_MATRICES = 357
 # Calls of the checking constructors Scalar.__init__ and KForm.__init__ that
 # pipeline_report makes over the same points with the same caches warm:
 # arithmetic and the exterior kernels build through scalars._new and
 # exterior._form, and witt_phi() is one form built at import
 SWEEP_WITNESS_CHECKED_BUILDS = 0
+# scalars._clear_denominators calls of pipeline_report over the same points
+# with the same caches warm: each point clears its ad-matrix once, and the
+# rest are rows entering an Echelon; the shared metric, its inverse, the
+# Witt form and its Hodge dual keep their pairs
+SWEEP_WITNESS_CLEARINGS = 91
 # Scalar add + sub + mul calls of one cycle of items (0..17 at seed 7),
 # after one warm pass over the same items
-CYCLE_SCALAR_OPS = {"decide": 2238, "report": 17212}
+CYCLE_SCALAR_OPS = {"decide": 2238, "report": 15216}
 
 
 def scalar_ops(run) -> dict:
@@ -110,29 +115,45 @@ def test_sweep_witness_scalar_ops_stay_within_their_count(tmp_path):
     assert counts["add"] + counts["sub"] + counts["mul"] <= SWEEP_WITNESS_SCALAR_OPS, counts
 
 
-def test_sweep_witness_matrix_builds_stay_within_their_count(tmp_path, monkeypatch):
-    """Every Matrix but the parsed ones is made by ``linalg._of``, which
-    ``geometry`` also binds; its calls count the matrices a sweep point
-    builds, so that a removed intermediate product cannot come back."""
+def witness_calls(tmp_path, monkeypatch, home, name: str) -> int:
+    """The calls of ``home.name`` that pipeline_report makes over the
+    witness points with caches warm, counted in every g2aa module that
+    binds the function."""
     points = witness_points(tmp_path)
     for p in points:
         pipeline_report(p)
-    original = linalg._of
-    built = 0
+    original = getattr(home, name)
+    calls = 0
 
     def counted(*args):
-        nonlocal built
-        built += 1
+        nonlocal calls
+        calls += 1
         return original(*args)
 
-    owners = [m for name, m in sorted(sys.modules.items())
-              if name.startswith("g2aa") and getattr(m, "_of", None) is original]
-    assert "g2aa.linalg" in [m.__name__ for m in owners]
+    owners = [m for key, m in sorted(sys.modules.items())
+              if key.startswith("g2aa") and getattr(m, name, None) is original]
+    assert home in owners
     for m in owners:
-        monkeypatch.setattr(m, "_of", counted)
+        monkeypatch.setattr(m, name, counted)
     for p in points:
         pipeline_report(p)
+    return calls
+
+
+def test_sweep_witness_matrix_builds_stay_within_their_count(tmp_path, monkeypatch):
+    """Every Matrix but the parsed ones is made by ``linalg._of``; its calls
+    count the matrices a sweep point builds, so that a removed intermediate
+    product cannot come back."""
+    built = witness_calls(tmp_path, monkeypatch, linalg, "_of")
     assert built <= SWEEP_WITNESS_MATRICES, built
+
+
+def test_sweep_witness_clearings_stay_within_their_count(tmp_path, monkeypatch):
+    """Matrices and forms keep their pair image, so a sweep point clears
+    only what is new to it; the count cannot grow back to a re-clearing of
+    the shared metric, inverse and forms at every point."""
+    cleared = witness_calls(tmp_path, monkeypatch, scalars, "_clear_denominators")
+    assert cleared <= SWEEP_WITNESS_CLEARINGS, cleared
 
 
 def test_sweep_witness_checked_builds_stay_within_their_count(tmp_path, monkeypatch):

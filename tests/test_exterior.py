@@ -9,6 +9,7 @@ from g2aa.exterior import (
     DegenerateMetricError,
     DimensionMismatchError,
     KForm,
+    _pair_terms,
     gl_action,
     hodge_star,
     interior,
@@ -18,8 +19,8 @@ from g2aa.exterior import (
 from g2aa.classify import NilpotentParallelParams, build_instance
 from g2aa.g2 import adapted_metric, phi_model, witt_phi
 from g2aa.liealg import AlmostAbelianAlgebra, differential
-from g2aa.linalg import Matrix
-from g2aa.scalars import ONE, ZERO, Scalar
+from g2aa.linalg import Matrix, _pair_rows
+from g2aa.scalars import ONE, ZERO, Scalar, _clear_denominators
 
 from conftest import (
     inversion_sign,
@@ -279,6 +280,33 @@ def test_kernel_outputs_equal_the_checked_constructor():
     for out in outputs:
         assert out == KForm(out.dim, out.degree, dict(out.items()))
         assert all(not c.is_zero() for _, c in out.items()), out
+
+
+def test_cached_pair_images_equal_a_fresh_clearing():
+    # a matrix and a form keep their Z[sqrt2] pair image, and a form its
+    # hash; each must be what a fresh clearing or a fresh object gives, and
+    # neither may change equality or hashing
+    rng = random.Random(29)
+    for _ in range(30):
+        n = rng.randint(1, 6)
+        m = random_matrix(rng, n, span=2, sqrt2=rng.random() < 0.7)
+        f = random_form(rng, n, rng.randint(0, n), terms=4, sqrt2=True)
+        for obj in (m, f, gl_action(m, f)):
+            hashed = hash(obj)
+            if isinstance(obj, Matrix):
+                fresh = Matrix(obj.tolist())
+                den, rows = _pair_rows(obj)
+                assert _pair_rows(obj) is _pair_rows(obj)
+                pairs = {(i, j): x for i, r in rows.items() for j, x in r.items()}
+            else:
+                fresh = KForm(obj.dim, obj.degree, dict(obj.items()))
+                den, pairs = _pair_terms(obj)
+                assert _pair_terms(obj) is _pair_terms(obj)
+            keys, values = zip(*obj.items()) if not obj.is_zero() else ((), ())
+            want_den, want = _clear_denominators(values)
+            assert (den, list(pairs.items())) == (want_den, list(zip(keys, want)))
+            assert obj == fresh and fresh == obj
+            assert hash(obj) == hashed == hash(fresh)
 
 
 def test_json_round_trip():

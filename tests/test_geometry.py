@@ -20,7 +20,7 @@ from g2aa.geometry import (
     nabla_r_full,
 )
 from g2aa.liealg import AlmostAbelianAlgebra
-from g2aa.linalg import Matrix
+from g2aa.linalg import Matrix, _pair_rows
 from g2aa.scalars import HALF, SQRT2, ZERO, Scalar
 
 from conftest import (is_abelian_family, oracle_curvature, oracle_holonomy, oracle_levi_civita,
@@ -134,6 +134,27 @@ def _sparse_cases():
     ]
 
 
+def _three_denominator_case():
+    """(algebra, metric) with g, A and g^{-1} over three different least
+    common denominators (6, 4 and 70), each with sqrt2 parts."""
+    third = Fraction(1, 3)
+    g = Matrix.sparse(7, 7, {(0, 0): 1, (1, 1): -1, (2, 2): third, (3, 3): 1, (4, 4): 1,
+                             (5, 5): -1, (6, 6): SQRT2, (2, 6): third * SQRT2,
+                             (6, 2): third * SQRT2, (0, 5): HALF, (5, 0): HALF})
+    quarter = Fraction(1, 4)
+    a = Matrix.sparse(6, 6, {(0, 1): 3 * quarter, (2, 3): quarter * SQRT2, (4, 2): -1,
+                             (1, 5): quarter + SQRT2, (3, 0): 1})
+    return AlmostAbelianAlgebra(7, a), g
+
+
+def test_levi_civita_checks_symmetry_before_inverting():
+    # singular and not symmetric: the symmetry is what is refused
+    singular = Matrix.sparse(7, 7, {(0, 1): 1})
+    with pytest.raises(ValueError, match="symmetric") as exc:
+        levi_civita(example_a_algebra(), singular)
+    assert not isinstance(exc.value, DegenerateMetricError)
+
+
 def test_levi_civita_equals_dense_koszul():
     sparse = _sparse_cases()
     corners = sparse[-4:]
@@ -145,7 +166,12 @@ def test_levi_civita_equals_dense_koszul():
     assert any(ms[1][c, j] and ms[1][j, c] for c in range(6) for j in range(c + 1, 6))
     assert all(any(True for _ in m.row_items(6)) for m in ms[2:])
     assert any(x.a.denominator > 1 for _, x in corners[3][1].items())
-    for alg, g in list(_dense_cases(24)) + sparse:
+    # and g, A and g^{-1} of the three-denominator case have what it says
+    alg, g = _three_denominator_case()
+    three = (g, alg.ad_matrix, g.inverse())
+    assert [_pair_rows(m)[0] for m in three] == [6, 4, 70]
+    assert all(any(x.b for _, x in m.items()) for m in three)
+    for alg, g in list(_dense_cases(24)) + sparse + [_three_denominator_case()]:
         conn = levi_civita(alg, g)
         want = oracle_levi_civita(alg, g)
         assert [m.tolist() for m in conn.nabla] == want
@@ -165,7 +191,7 @@ def test_curvature_equals_dense_definition():
     [nabla_i, nabla_j] - nabla_{[f_i, f_j]} on dense lists; a zero R is the
     zero matrix."""
     zeros = nonzeros = 0
-    for alg, g in list(_dense_cases(6)) + sweep_witness_pairs():
+    for alg, g in list(_dense_cases(6)) + _sparse_cases() + [_three_denominator_case()]:
         conn = levi_civita(alg, g)
         rep = curvature(conn)
         n = alg.n

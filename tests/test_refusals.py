@@ -16,7 +16,7 @@ from g2aa.exterior import (DegenerateMetricError, DimensionMismatchError, KForm,
                            interior, wedge)
 from g2aa.g2 import (bilinear_volume_form, certify_g2, hyperplane_model_type, phi_model,
                      stabilizer_algebra, structure_map, witt_phi)
-from g2aa.geometry import levi_civita
+from g2aa.geometry import analyze, curvature, levi_civita, nabla_r_full
 from g2aa.liealg import (AlmostAbelianAlgebra, SegrePartition, catalog_entry_for_partition,
                          differential, identify_nilpotent, segre_partition)
 from g2aa.linalg import Matrix
@@ -30,6 +30,9 @@ ALG3 = AlmostAbelianAlgebra(3, Matrix([[0, 1], [0, 0]]))
 I7 = Matrix.identity(7)
 VOL7 = KForm.basis(7, 1, 2, 3, 4, 5, 6, 7)
 ALG7 = AlmostAbelianAlgebra(7, Matrix.zero(6))
+CURVED7 = AlmostAbelianAlgebra(7, Matrix.sparse(6, 6, {(0, 1): 1}))
+FLAT7_CONN = levi_civita(ALG7, I7)
+FLAT7_R = curvature(FLAT7_CONN)
 
 
 HUGE = 10**5000  # past the int-to-str conversion limit, so repr() refuses it
@@ -115,6 +118,16 @@ REFUSALS = [
      DegenerateMetricError),
     ("levi_civita non-symmetric metric",
      lambda: levi_civita(ALG7, I7 + Matrix.sparse(7, 7, {(0, 1): 1})), ValueError),
+    ("analyze of a form on R^5, flat algebra",
+     lambda: analyze(ALG7, KForm.basis(5, 1, 2, 3), I7), DimensionMismatchError),
+    ("analyze of a form on R^5, curved algebra",
+     lambda: analyze(CURVED7, KForm.basis(5, 1, 2, 3), I7), DimensionMismatchError),
+    ("r_of past the last index", lambda: FLAT7_R.r_of(7, 9), IndexError),
+    ("r_of at a negative index", lambda: FLAT7_R.r_of(-1, 3), IndexError),
+    ("nabla_r_full at a negative index",
+     lambda: nabla_r_full(FLAT7_CONN, FLAT7_R, -1, 0, 2), IndexError),
+    ("nabla_r_full past the last index",
+     lambda: nabla_r_full(FLAT7_CONN, FLAT7_R, 0, 0, 7), IndexError),
     # liealg
     ("differential dimension", lambda: differential(ALG7, KForm.basis(6, 1)), ValueError),
     ("bracket at index 0", lambda: ALG3.bracket(0, 3), IndexError),
